@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .errors import (
     DegenerateParameters,
@@ -21,7 +22,7 @@ from .errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, format_rational, parse_rational
+from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, QuadScalar, estimated_digits, format_rational, parse_rational
 from .linearize import InitialPair, linear_orbit
 from .matrix import SystemParams, classify, eigenvalues, power
 from .solve import TrivialReport, iterate_direct, solve, verify
@@ -93,22 +94,45 @@ def _config(args):
         raise ValueError("--horizon must be >= 1")
     if budget < 1000:
         raise ValueError("--digit-budget must be >= 1000")
+    for flag in "nN":
+        if getattr(args, flag, 0) < 0:
+            raise ValueError(f"-{flag} must be >= 0")
     return params, init, budget
+
+
+def _render(value, budget: int) -> str:
+    """Text of a number, QuadScalar or FactoredValue whose every number fits
+    the digit budget; Python's int/str digit limit is lifted to the budget
+    for this conversion only."""
+    if isinstance(value, FactoredValue):
+        numbers = [x for factor in value.factors for x in factor]
+    elif isinstance(value, QuadScalar):
+        numbers = [value.p, value.q, value.D]
+    else:
+        numbers = [value]
+    digits = max([estimated_digits(x, 1) for x in numbers], default=1)
+    if digits > budget:
+        raise DigitBudgetExceeded(digits, budget)
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        sys.set_int_max_str_digits(budget)
+    try:
+        return format_rational(value) if isinstance(value, Fraction) else str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _value_json(fv: FactoredValue, factored: bool, budget: int):
     if not factored:
-        return format_rational(fv.expand(budget))
+        return _render(fv.expand(budget), budget)
     return {
         "sign": fv.sign,
-        "factors": [[format_rational(b), str(e)] for b, e in fv.factors],
+        "factors": [[_render(b, budget), _render(e, budget)] for b, e in fv.factors],
     }
 
 
 def _value_text(fv: FactoredValue, factored: bool, budget: int) -> str:
-    if not factored:
-        return format_rational(fv.expand(budget))
-    return str(fv)
+    return _render(fv if factored else fv.expand(budget), budget)
 
 
 def _emit(args, doc: dict, human_lines: list[str]) -> int:
@@ -120,23 +144,21 @@ def _emit(args, doc: dict, human_lines: list[str]) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args):
-    params, _, _ = _config(args)
+def _cmd_classify(args, params, init, budget):
     tag = classify(params)
     return _emit(args, {"schema": SCHEMA, "case": tag.value}, [f"case: {tag.value}"])
 
 
-def _cmd_eigen(args):
-    params, _, _ = _config(args)
+def _cmd_eigen(args, params, init, budget):
     tag = classify(params)
     eig = eigenvalues(params)
     doc = {
         "schema": SCHEMA,
         "case": tag.value,
-        "discriminant": format_rational(eig.discriminant),
+        "discriminant": _render(eig.discriminant, budget),
         "rational": eig.is_rational,
-        "lambda1": str(eig.lam1) if not eig.is_rational else format_rational(eig.lam1),
-        "lambda2": str(eig.lam2) if not eig.is_rational else format_rational(eig.lam2),
+        "lambda1": _render(eig.lam1, budget),
+        "lambda2": _render(eig.lam2, budget),
     }
     lines = [
         f"case: {tag.value}",
@@ -147,37 +169,30 @@ def _cmd_eigen(args):
     return _emit(args, doc, lines)
 
 
-def _cmd_power(args):
-    params, _, _ = _config(args)
-    if args.n < 0:
-        raise ValueError("-n must be >= 0")
+def _cmd_power(args, params, init, budget):
     mat = power(params, args.n)
     rows = [
-        [format_rational(mat.a11), format_rational(mat.a12)],
-        [format_rational(mat.a21), format_rational(mat.a22)],
+        [_render(mat.a11, budget), _render(mat.a12, budget)],
+        [_render(mat.a21, budget), _render(mat.a22, budget)],
     ]
     doc = {"schema": SCHEMA, "case": classify(params).value, "n": args.n, "matrix": rows}
     lines = [f"[{rows[0][0]}, {rows[0][1]}]", f"[{rows[1][0]}, {rows[1][1]}]"]
     return _emit(args, doc, lines)
 
 
-def _cmd_orbit(args):
-    params, init, _ = _config(args)
-    if args.n < 0:
-        raise ValueError("-n must be >= 0")
+def _cmd_orbit(args, params, init, budget):
     state = linear_orbit(params, init, args.n)
     doc = {
         "schema": SCHEMA,
         "case": classify(params).value,
         "n": state.n,
-        "u": format_rational(state.u),
-        "v": format_rational(state.v),
+        "u": _render(state.u, budget),
+        "v": _render(state.v, budget),
     }
     return _emit(args, doc, [f"u_{state.n} = {doc['u']}", f"v_{state.n} = {doc['v']}"])
 
 
-def _cmd_zeroset(args):
-    params, init, _ = _config(args)
+def _cmd_zeroset(args, params, init, budget):
     verdict = zero_set_member(params, init, args.horizon)
     doc = {"schema": SCHEMA, "case": classify(params).value, "status": verdict.status.value}
     lines = []
@@ -194,10 +209,7 @@ def _cmd_zeroset(args):
     return _emit(args, doc, lines)
 
 
-def _cmd_solve(args):
-    params, init, budget = _config(args)
-    if args.n < 0:
-        raise ValueError("-n must be >= 0")
+def _cmd_solve(args, params, init, budget):
     result = solve(params, init, args.n, horizon=args.horizon)
     tag = classify(params)
     if isinstance(result, TrivialReport):
@@ -224,10 +236,7 @@ def _cmd_solve(args):
     return _emit(args, doc, lines)
 
 
-def _cmd_iterate(args):
-    params, init, budget = _config(args)
-    if args.n < 0:
-        raise ValueError("-n must be >= 0")
+def _cmd_iterate(args, params, init, budget):
     terms = iterate_direct(params, init, args.n, budget)
     doc = {
         "schema": SCHEMA,
@@ -250,10 +259,7 @@ def _cmd_iterate(args):
     return _emit(args, doc, lines)
 
 
-def _cmd_verify(args):
-    params, init, budget = _config(args)
-    if args.N < 0:
-        raise ValueError("-N must be >= 0")
+def _cmd_verify(args, params, init, budget):
     report = verify(params, init, args.N, digit_budget=budget, horizon=args.horizon)
     doc = {"schema": SCHEMA}
     doc.update(report.to_dict())
@@ -287,7 +293,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = _config(args)
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
+    try:
+        return _COMMANDS[args.command](args, *config)
     except DegenerateParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -300,8 +310,6 @@ def run(argv=None) -> int:
     except UnknownWithinHorizon as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
 
 
 def main():

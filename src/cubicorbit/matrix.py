@@ -164,7 +164,7 @@ def spectral_power_elements(p: SystemParams, n: int):
 
     Returns four QuadScalar (or Fraction, when D is a perfect square)
     values; with irrational D the sqrt(D) components cancel identically
-    and callers may assert that before converting.
+    and callers check that while converting.
     """
     eig = eigenvalues(p)
     lam1, lam2 = eig.lam1, eig.lam2
@@ -183,16 +183,9 @@ def spectral_power_elements(p: SystemParams, n: int):
 def power_distinct(p: SystemParams, n: int) -> Mat2:
     if p.det == 0 or p.discriminant == 0:
         raise CaseMismatch("requires ad - bc != 0 and distinct eigenvalues")
+    # Realness certificate: to_rational raises on a nonzero sqrt(D) part.
     entries = spectral_power_elements(p, n)
-    out = []
-    for e in entries:
-        if isinstance(e, QuadScalar):
-            # Realness certificate: the formula must produce a rational.
-            assert e.q == 0, f"nonzero sqrt(D) component in A^{n}: {e}"
-            out.append(e.p)
-        else:
-            out.append(e)
-    return Mat2(*out)
+    return Mat2(*(e.to_rational() if isinstance(e, QuadScalar) else e for e in entries))
 
 
 def power(p: SystemParams, n: int) -> Mat2:

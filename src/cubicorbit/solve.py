@@ -17,7 +17,6 @@ from typing import Optional
 
 from .errors import (
     CaseMismatch,
-    DegenerateParameters,
     DigitBudgetExceeded,
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
@@ -105,13 +104,9 @@ def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     if verdict.is_member:
         raise TrivialSolutionEncountered(verdict.witness)
     rc = repeated_ratio_constants(p, init)
-    rho = lambda k: (rc.c3 + rc.c4 * k) / (rc.c1 + rc.c2 * k)
-    factors = [(init.x0, three_pow(n))]
-    for k in range(n):
-        r = rho(k)
-        factors.append((p.a * r + p.b * r * r, three_pow(n - k - 1)))
-    x = FactoredValue.build(1, factors)
-    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(rho(n))))
+    rho = [(rc.c3 + rc.c4 * k) / (rc.c1 + rc.c2 * k) for k in range(n + 1)]
+    x = cubic_coeff_solve([p.a * r + p.b * r * r for r in rho[:n]], init.x0, n)
+    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(rho[n])))
 
 
 def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
@@ -121,11 +116,9 @@ def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     for st in states:
         if st.u == 0 or st.v == 0:
             raise TrivialSolutionEncountered(st.n)
-    factors = [(init.x0, three_pow(n))]
-    for k in range(n):
-        r = states[k].v / states[k].u
-        factors.append((p.a * r + p.b * r * r, three_pow(n - k - 1)))
-    x = FactoredValue.build(1, factors)
+    # a r_k + b r_k^2 = v_k u_{k+1} / u_k^2 with r_k = v_k / u_k
+    coeffs = [st.v * nxt.u / (st.u * st.u) for st, nxt in zip(states, states[1:])]
+    x = cubic_coeff_solve(coeffs, init.x0, n)
     r_n = states[n].v / states[n].u
     return OrbitTerm(n, x, x.times(FactoredValue.from_rational(r_n)))
 
@@ -173,10 +166,8 @@ def solve(
     """Full pipeline: zero-set check, then the matching case solver.
 
     Returns an OrbitTerm, or a TrivialReport when the initial pair lies in
-    the case's zero set.
+    the case's zero set; zero_set_member rejects degenerate parameters.
     """
-    if p.is_degenerate:
-        raise DegenerateParameters("a = b = 0 or c = d = 0")
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     if verdict.is_member:
@@ -193,9 +184,7 @@ def reconstruct_general(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm
     for st in states[:n]:
         if st.u * st.v == 0:
             raise TrivialSolutionEncountered(st.n)
-    prod = FactoredValue.build(
-        1, [(states[k].u * states[k].v, three_pow(n - 1 - k)) for k in range(n)]
-    )
+    prod = cubic_coeff_solve([st.u * st.v for st in states[:n]], 1, n)
     return OrbitTerm(
         n,
         prod.times(FactoredValue.from_rational(states[n].u)),
@@ -259,8 +248,6 @@ def verify(
 ) -> VerificationReport:
     """Run the case solver, the general reconstruction and direct iteration
     side by side and report exact agreement term by term."""
-    if p.is_degenerate:
-        raise DegenerateParameters("a = b = 0 or c = d = 0")
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     report = VerificationReport(case=tag, verdict=verdict, depth=depth)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CaseMismatch, DegenerateParameters
-from .linearize import InitialPair, distinct_orbit_coefficients
+from .linearize import InitialPair, distinct_orbit_coefficients, repeated_ratio_constants
 from .matrix import CaseTag, SystemParams, classify, eigenvalues
 
 DEFAULT_HORIZON = 64
@@ -132,11 +132,9 @@ def z2_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
     membership is fully decidable."""
     if p.det == 0 or p.discriminant != 0:
         raise CaseMismatch("z2 requires ad - bc != 0 and zero discriminant")
-    half_sum = p.trace / 2
-    rows = [
-        ((p.a - p.d) / 2 * init.x0 + p.b * init.y0, half_sum * init.x0),
-        (p.c * init.x0 + (p.d - p.a) / 2 * init.y0, half_sum * init.y0),
-    ]
+    # u_n and v_n are ((a+d)/2)^(n-1) times c1 + c2 n and c3 + c4 n
+    rc = repeated_ratio_constants(p, init)
+    rows = [(rc.c2, rc.c1), (rc.c4, rc.c3)]
     hits = [i for i in (_linear_root_index(co, cn) for co, cn in rows) if i is not None]
     if hits:
         return _member(min(hits))

@@ -7,7 +7,7 @@ import pytest
 
 from cubicorbit import cli
 from cubicorbit.linearize import InitialPair
-from cubicorbit.matrix import SystemParams
+from cubicorbit.matrix import SystemParams, power
 from cubicorbit.solve import iterate_direct, solve
 from cubicorbit.zerosets import zero_set_member
 
@@ -183,6 +183,65 @@ class TestExitCodes:
         code = cli.run(["solve", "-a", "1", "-b", "1", "-c", "1", "-d=-1",
                         "--x0", "1", "--y0", "1", "-n", "1"])
         assert code == 4
+
+
+def _lifted(fn):
+    """Run fn with Python's int/str digit limit off, to read big CLI output."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDigitBudget:
+    def test_solve_past_4300_digits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, doc = run_json(["solve"] + PARAMS + INIT + ["-n", "9"], capsys)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        term = solve(SystemParams(F(2), F(1), F(1), F(2)), InitialPair(F(1), F(2)), 9)
+        assert _lifted(lambda: (F(doc["x"]), F(doc["y"]))) == (term.x.expand(), term.y.expand())
+
+    def test_power_past_4300_digits(self, capsys):
+        code, doc = run_json(["power"] + PARAMS + ["-n", "20000"], capsys)
+        assert code == 0
+        mat = power(SystemParams(F(2), F(1), F(1), F(2)), 20000)
+        rows = _lifted(lambda: [[F(x) for x in row] for row in doc["matrix"]])
+        assert rows == [[mat.a11, mat.a12], [mat.a21, mat.a22]]
+
+    def test_printed_value_past_budget(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code = cli.run(["power"] + PARAMS + ["-n", "3000", "--digit-budget", "1000"])
+        assert code == 5
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["power"] + PARAMS + ["-n=-1"], "-n must be >= 0"),
+            (["orbit"] + PARAMS + INIT + ["-n=-1"], "-n must be >= 0"),
+            (["solve"] + PARAMS + INIT + ["-n=-1"], "-n must be >= 0"),
+            (["iterate"] + PARAMS + INIT + ["-n=-1"], "-n must be >= 0"),
+            (["verify"] + PARAMS + INIT + ["-N=-1"], "-N must be >= 0"),
+        ],
+    )
+    def test_negative_index_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.run(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_internal_value_error_is_not_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            cli.run(["solve"] + PARAMS + INIT + ["-n", "2"])
 
 
 class TestDeterminism:

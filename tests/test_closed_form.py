@@ -236,6 +236,24 @@ class TestReconstructGeneral:
             reconstruct_general(params(1, 1, 1, 1), init(1, -1), 3)
 
 
+class TestFactoredForm:
+    # u = 1, 4, 13 and v = 2, 5, 14 for (2, 1, 1, 2) from (1, 2)
+    @pytest.mark.parametrize(
+        "solver,p,x,y",
+        [
+            (solve_distinct, params(2, 1, 1, 2),
+             "(8)^3 * (65/16)^1", "(8)^3 * (65/16)^1 * (14/13)^1"),
+            (solve_repeated, params(3, 1, -1, 1),
+             "(10)^3 * (16/25)^1", "-(10)^3 * (16/25)^1 * (1/4)^1"),
+            (reconstruct_general, params(2, 1, 1, 2),
+             "(2)^3 * (20)^1 * (13)^1", "(2)^3 * (20)^1 * (14)^1"),
+        ],
+    )
+    def test_factor_lists(self, solver, p, x, y):
+        term = solver(p, init(1, 2), 2)
+        assert (str(term.x), str(term.y)) == (x, y)
+
+
 class TestProperties:
     def test_oracle_equivalence_all_cases(self):
         rng = random.Random(61)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubicorbit import matrix
 from cubicorbit.errors import CaseMismatch
 from cubicorbit.exact import QuadScalar
 from cubicorbit.matrix import (
@@ -134,6 +135,13 @@ class TestPowerDistinct:
             for n in range(11):
                 for entry in spectral_power_elements(p, n):
                     assert entry.q == 0
+
+    def test_irrational_entry_raises(self, monkeypatch):
+        # the certificate must hold under python -O, so it cannot be an assert
+        bad = QuadScalar(F(1), F(1), F(2))
+        monkeypatch.setattr(matrix, "spectral_power_elements", lambda p, n: (bad,) * 4)
+        with pytest.raises(ValueError, match="nonzero sqrt"):
+            power_distinct(params(1, 1, 1, 0), 2)
 
     def test_case_mismatch(self):
         with pytest.raises(CaseMismatch):
