@@ -6,12 +6,16 @@ example per case (eigenvalues plus the first few closed-form orbit terms).
 """
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
-from cubicorbit.linearize import InitialPair
-from cubicorbit.matrix import CaseTag, SystemParams, classify, eigenvalues
-from cubicorbit.solve import TrivialReport, solve
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from cubicorbit.linearize import InitialPair  # noqa: E402
+from cubicorbit.matrix import CaseTag, SystemParams, classify, eigenvalues  # noqa: E402
+from cubicorbit.solve import TrivialReport, solve  # noqa: E402
 
 F = Fraction
 

@@ -11,11 +11,13 @@ reports agreement statistics.  Usage:
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
-from cubicorbit.solve import verify
-from cubicorbit.zerosets import Membership
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-sys.path.insert(0, "tests")
+from cubicorbit.solve import verify  # noqa: E402
+from cubicorbit.zerosets import Membership  # noqa: E402
 from helpers import random_init, random_params  # noqa: E402
 
 

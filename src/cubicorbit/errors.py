@@ -6,13 +6,13 @@ class CubicOrbitError(Exception):
 
 
 class DigitBudgetExceeded(CubicOrbitError):
-    """Expanding a value would exceed the configured decimal-digit budget."""
+    """A value would need more decimal digits than the configured budget."""
 
     def __init__(self, estimated_digits, budget):
         self.estimated_digits = estimated_digits
         self.budget = budget
         super().__init__(
-            f"expansion needs ~{estimated_digits} decimal digits, budget is {budget}"
+            f"value needs ~{estimated_digits} decimal digits, budget is {budget}"
         )
 
 

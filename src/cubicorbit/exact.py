@@ -5,7 +5,8 @@ denominator, reduced).  Exponents like 3^n are plain Python ints.
 ``QuadScalar`` is a formal element p + q*sqrt(D) of a quadratic extension
 Q(sqrt(D)); D may be negative, in which case the arithmetic is still purely
 formal via (sqrt(D))^2 = D.  ``FactoredValue`` defers expansion of values
-whose digit count is exponential in n.
+whose digit count is exponential in n; expanding one takes one cubing per
+base-3 digit of its exponents, with only the small bases multiplied in.
 """
 
 from __future__ import annotations
@@ -242,9 +243,21 @@ class FactoredValue:
         est = self.estimated_digits()
         if est > digit_budget:
             raise DigitBudgetExceeded(est, digit_budget)
+        # Horner's rule on the base-3 digits of all exponents at once:
+        # cubing a reduced Fraction needs no gcd, and each base multiplied
+        # in is small, so no gcd of two full-size numbers is ever taken.
+        top = max((exp for _, exp in self.factors), default=0)
+        place = 1
+        while place * 3 <= top:
+            place *= 3
         value = Fraction(self.sign)
-        for base, exp in self.factors:
-            value *= base**exp
+        while place:
+            value = value**3
+            for base, exp in self.factors:
+                trit = exp // place % 3
+                if trit:
+                    value *= base if trit == 1 else base * base
+            place //= 3
         return value
 
     def canonical_key(self):

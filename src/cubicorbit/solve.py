@@ -21,7 +21,7 @@ from .errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, geometric_exponent, antitrace_exponents, three_pow
+from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, estimated_digits, geometric_exponent, antitrace_exponents, three_pow
 from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq, repeated_ratio_constants
 from .matrix import CaseTag, SystemParams, classify
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
@@ -57,13 +57,10 @@ def iterate_direct(
     terms = [_initial_term(init)]
     x, y = init.x0, init.y0
     for k in range(1, n + 1):
-        digits = max(
-            abs(x.numerator).bit_length() + x.denominator.bit_length(),
-            abs(y.numerator).bit_length() + y.denominator.bit_length(),
-        ) * 30103 // 100000 + 1
         # each step roughly cubes the digit count
-        if 3 * digits > digit_budget:
-            raise DigitBudgetExceeded(3 * digits, digit_budget)
+        digits = max(estimated_digits(x, 3), estimated_digits(y, 3))
+        if digits > digit_budget:
+            raise DigitBudgetExceeded(digits, digit_budget)
         x, y = x * y * (p.a * x + p.b * y), x * y * (p.c * x + p.d * y)
         terms.append(_term_from_rationals(k, x, y))
     return terms

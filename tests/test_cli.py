@@ -217,6 +217,14 @@ class TestDigitBudget:
         assert code == 5
         assert sys.get_int_max_str_digits() == limit
 
+    def test_budget_error_names_no_expansion(self, capsys):
+        # power prints its entries; nothing factored is expanded
+        code = cli.run(["power"] + PARAMS + ["-n", "3000", "--digit-budget", "1000"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "budget is 1000" in err
+        assert "expansion" not in err
+
 
 class TestInputChecks:
     @pytest.mark.parametrize(

@@ -6,10 +6,11 @@ import pytest
 from cubicorbit.errors import (
     CaseMismatch,
     DegenerateParameters,
+    DigitBudgetExceeded,
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from cubicorbit.exact import geometric_exponent, pow_rational, three_pow
+from cubicorbit.exact import estimated_digits, geometric_exponent, pow_rational, three_pow
 from cubicorbit.linearize import InitialPair, linear_orbit_seq
 from cubicorbit.matrix import CaseTag, SystemParams, classify
 from cubicorbit.solve import (
@@ -68,6 +69,18 @@ class TestIterateDirect:
         terms = iterate_direct(params(1, 1, 1, -1), init(1, 2), 2)
         assert terms[2].x.expand() == -48
         assert terms[2].y.expand() == -96
+
+    def test_budget_estimate_is_that_of_expand(self):
+        # Step 7 is refused by the estimate of the cube of term 6, made with
+        # the formula that FactoredValue.expand uses.
+        p, i = params(F(1, 2), 3, F(-2, 5), 1), init(F(3, 7), F(5, 2))
+        last = iterate_direct(p, i, 6)[-1]
+        x, y = last.x.expand(), last.y.expand()
+        est = max(estimated_digits(x, 3), estimated_digits(y, 3))
+        assert len(iterate_direct(p, i, 7, digit_budget=est)) == 8
+        with pytest.raises(DigitBudgetExceeded) as err:
+            iterate_direct(p, i, 7, digit_budget=est - 1)
+        assert err.value.estimated_digits == est
 
 
 class TestCubicCoeffSolve:

@@ -180,6 +180,7 @@ class TestQuadScalar:
 class TestFactoredValue:
     def test_empty_product(self):
         assert FactoredValue.build(1, []).expand() == 1
+        assert FactoredValue.build(-1, []).expand() == -1
 
     def test_mixed_product(self):
         v = FactoredValue.build(1, [(F(2), 3), (F(3, 2), 2)])
@@ -204,6 +205,7 @@ class TestFactoredValue:
     def test_zero(self):
         assert FactoredValue.from_rational(F(0)).sign == 0
         assert FactoredValue.from_rational(F(0)).expand() == 0
+        assert FactoredValue(0, ((F(2), 3**40),)).expand(digit_budget=1) == 0
 
     def test_budget(self):
         v = FactoredValue.build(1, [(F(2), 3**40)])
@@ -219,6 +221,41 @@ class TestFactoredValue:
         v = FactoredValue.build(1, [(r, e)]) if r != 0 else FactoredValue.from_rational(F(0))
         expanded = v.expand()
         assert FactoredValue.from_rational(expanded).canonical_key() == v.canonical_key()
+
+    def test_merged_base_has_trit_two(self):
+        v = FactoredValue.build(1, [(F(2, 3), 9), (F(2, 3), 9)])
+        assert v.factors == ((F(2, 3), 18),)  # 18 = 200 in base 3
+        assert v.expand() == F(2**18, 3**18)
+
+    def test_budget_estimate_unchanged(self):
+        v = FactoredValue.build(1, [(F(7, 3), 10), (F(2), 5)])
+        with pytest.raises(DigitBudgetExceeded) as err:
+            v.expand(digit_budget=13)
+        # (10 * 3 * 30103) // 100000 + 1 plus (5 * 2 * 30103) // 100000 + 1
+        assert err.value.estimated_digits == v.estimated_digits() == 14
+        assert err.value.budget == 13
+        assert v.expand(digit_budget=14) == F(7**10 * 2**5, 3**10)
+
+    @given(
+        sign=st.sampled_from([1, -1]),
+        factors=st.lists(
+            st.tuples(
+                st.fractions(min_value=-30, max_value=30, max_denominator=9),
+                st.integers(min_value=0, max_value=5).flatmap(
+                    lambda m: st.sampled_from(
+                        [0, m, 3**m, geometric_exponent(m), *antitrace_exponents(m)]
+                    )
+                ),
+            ),
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=150)
+    def test_expand_is_the_naive_product(self, sign, factors):
+        naive = F(sign)
+        for base, exp in factors:
+            naive *= base**exp
+        assert FactoredValue.build(sign, factors).expand() == naive
 
     def test_canonical_key_identifies_equal_values(self):
         a = FactoredValue.build(1, [(F(4), 3)])

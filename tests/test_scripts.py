@@ -1,0 +1,29 @@
+"""The scripts in scripts/ run from a checkout, from any directory, with no
+PYTHONPATH and no install."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def test_verify_random(tmp_path):
+    proc = run_script("verify_random.py", "20", "4", "0", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "20 trials, depth 4: 0 mismatches" in proc.stdout
+
+
+def test_case_sweep(tmp_path):
+    proc = run_script("case_sweep.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "grid size:" in proc.stdout
