@@ -135,9 +135,11 @@ def _value_text(fv: FactoredValue, factored: bool, budget: int) -> str:
     return _render(fv if factored else fv.expand(budget), budget)
 
 
-def _emit(args, doc: dict, human_lines: list[str]) -> int:
+def _emit(args, params, fields: dict, human_lines: list[str]) -> int:
+    """Print the human lines, or under --json one document that starts with
+    the schema and the parameter case, followed by the command's fields."""
     if args.json:
-        print(json.dumps(doc))
+        print(json.dumps({"schema": SCHEMA, "case": classify(params).value, **fields}))
     else:
         for line in human_lines:
             print(line)
@@ -145,28 +147,24 @@ def _emit(args, doc: dict, human_lines: list[str]) -> int:
 
 
 def _cmd_classify(args, params, init, budget):
-    tag = classify(params)
-    return _emit(args, {"schema": SCHEMA, "case": tag.value}, [f"case: {tag.value}"])
+    return _emit(args, params, {}, [f"case: {classify(params).value}"])
 
 
 def _cmd_eigen(args, params, init, budget):
-    tag = classify(params)
     eig = eigenvalues(params)
     doc = {
-        "schema": SCHEMA,
-        "case": tag.value,
         "discriminant": _render(eig.discriminant, budget),
         "rational": eig.is_rational,
         "lambda1": _render(eig.lam1, budget),
         "lambda2": _render(eig.lam2, budget),
     }
     lines = [
-        f"case: {tag.value}",
+        f"case: {classify(params).value}",
         f"discriminant: {doc['discriminant']}",
         f"lambda1: {doc['lambda1']}",
         f"lambda2: {doc['lambda2']}",
     ]
-    return _emit(args, doc, lines)
+    return _emit(args, params, doc, lines)
 
 
 def _cmd_power(args, params, init, budget):
@@ -175,26 +173,19 @@ def _cmd_power(args, params, init, budget):
         [_render(mat.a11, budget), _render(mat.a12, budget)],
         [_render(mat.a21, budget), _render(mat.a22, budget)],
     ]
-    doc = {"schema": SCHEMA, "case": classify(params).value, "n": args.n, "matrix": rows}
     lines = [f"[{rows[0][0]}, {rows[0][1]}]", f"[{rows[1][0]}, {rows[1][1]}]"]
-    return _emit(args, doc, lines)
+    return _emit(args, params, {"n": args.n, "matrix": rows}, lines)
 
 
 def _cmd_orbit(args, params, init, budget):
     state = linear_orbit(params, init, args.n)
-    doc = {
-        "schema": SCHEMA,
-        "case": classify(params).value,
-        "n": state.n,
-        "u": _render(state.u, budget),
-        "v": _render(state.v, budget),
-    }
-    return _emit(args, doc, [f"u_{state.n} = {doc['u']}", f"v_{state.n} = {doc['v']}"])
+    doc = {"n": state.n, "u": _render(state.u, budget), "v": _render(state.v, budget)}
+    return _emit(args, params, doc, [f"u_{state.n} = {doc['u']}", f"v_{state.n} = {doc['v']}"])
 
 
 def _cmd_zeroset(args, params, init, budget):
     verdict = zero_set_member(params, init, args.horizon)
-    doc = {"schema": SCHEMA, "case": classify(params).value, "status": verdict.status.value}
+    doc = {"status": verdict.status.value}
     lines = []
     if verdict.status is Membership.UNKNOWN_WITHIN_HORIZON:
         doc["horizon"] = verdict.horizon
@@ -206,24 +197,16 @@ def _cmd_zeroset(args, params, init, budget):
             lines.append(f"member=true witness={verdict.witness}")
         else:
             lines.append("member=false")
-    return _emit(args, doc, lines)
+    return _emit(args, params, doc, lines)
 
 
 def _cmd_solve(args, params, init, budget):
     result = solve(params, init, args.n, horizon=args.horizon)
-    tag = classify(params)
     if isinstance(result, TrivialReport):
-        doc = {
-            "schema": SCHEMA,
-            "case": tag.value,
-            "n": args.n,
-            "trivial": {"member": True, "witness": result.witness},
-        }
-        _emit(args, doc, [f"trivial solution, witness={result.witness}"])
+        doc = {"n": args.n, "trivial": {"member": True, "witness": result.witness}}
+        _emit(args, params, doc, [f"trivial solution, witness={result.witness}"])
         return EXIT_TRIVIAL
     doc = {
-        "schema": SCHEMA,
-        "case": tag.value,
         "n": result.n,
         "x": _value_json(result.x, args.factored, budget),
         "y": _value_json(result.y, args.factored, budget),
@@ -233,14 +216,12 @@ def _cmd_solve(args, params, init, budget):
         f"x_{result.n} = {_value_text(result.x, args.factored, budget)}",
         f"y_{result.n} = {_value_text(result.y, args.factored, budget)}",
     ]
-    return _emit(args, doc, lines)
+    return _emit(args, params, doc, lines)
 
 
 def _cmd_iterate(args, params, init, budget):
     terms = iterate_direct(params, init, args.n, budget)
     doc = {
-        "schema": SCHEMA,
-        "case": classify(params).value,
         "n": args.n,
         "terms": [
             {
@@ -256,13 +237,11 @@ def _cmd_iterate(args, params, init, budget):
         f"y_{t.n} = {_value_text(t.y, args.factored, budget)}"
         for t in terms
     ]
-    return _emit(args, doc, lines)
+    return _emit(args, params, doc, lines)
 
 
 def _cmd_verify(args, params, init, budget):
     report = verify(params, init, args.N, digit_budget=budget, horizon=args.horizon)
-    doc = {"schema": SCHEMA}
-    doc.update(report.to_dict())
     lines = [f"case: {report.case.value}"]
     if report.verdict.is_member:
         lines.append(
@@ -274,7 +253,7 @@ def _cmd_verify(args, params, init, budget):
             f"n={n} equal={ok}" for n, ok in enumerate(report.equal_by_n)
         ]
         lines.append(f"all_equal={report.all_equal}")
-    return _emit(args, doc, lines)
+    return _emit(args, params, report.to_dict(), lines)
 
 
 _COMMANDS = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TrivialSolutionEncountered
-from .matrix import SystemParams, power
+from .matrix import SystemParams, eigenvalues, power
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ def distinct_orbit_coefficients(p: SystemParams, init: InitialPair):
     """(P, Q, R, S) with u_n = (P l1^n - Q l2^n)/(l1 - l2) and
     v_n = (R l1^n - S l2^n)/(l1 - l2); entries live in Q(sqrt(D)) when the
     eigenvalues do."""
-    from .matrix import eigenvalues
-
     eig = eigenvalues(p)
     lam1, lam2 = eig.lam1, eig.lam2
     x0, y0 = init.x0, init.y0

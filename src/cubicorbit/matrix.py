@@ -114,6 +114,13 @@ def classify(p: SystemParams) -> CaseTag:
     return CaseTag.DISTINCT
 
 
+def require_case(p: SystemParams, *tags: CaseTag) -> None:
+    """Raise CaseMismatch unless classify(p) is one of tags."""
+    tag = classify(p)
+    if tag not in tags:
+        raise CaseMismatch(f"requires {' or '.join(t.value for t in tags)}, got {tag.value}")
+
+
 def eigenvalues(p: SystemParams) -> Eigenpair:
     D = p.discriminant
     root = rational_sqrt(D)
@@ -126,8 +133,7 @@ def eigenvalues(p: SystemParams) -> Eigenpair:
 
 
 def power_rank_deficient(p: SystemParams, n: int) -> Mat2:
-    if p.det != 0:
-        raise CaseMismatch("ad - bc != 0")
+    require_case(p, CaseTag.RANK_DEFICIENT)
     if n == 0:
         return Mat2.identity()
     # Fraction(0)**0 == 1, so n = 1 comes out as A even when a + d = 0.
@@ -135,8 +141,7 @@ def power_rank_deficient(p: SystemParams, n: int) -> Mat2:
 
 
 def power_repeated(p: SystemParams, n: int) -> Mat2:
-    if p.det == 0 or p.discriminant != 0:
-        raise CaseMismatch("requires ad - bc != 0 and zero discriminant")
+    require_case(p, CaseTag.REPEATED)
     if n == 0:
         return Mat2.identity()
     half = p.trace / 2
@@ -150,8 +155,7 @@ def power_repeated(p: SystemParams, n: int) -> Mat2:
 
 
 def power_antitrace(p: SystemParams, n: int) -> Mat2:
-    if p.det == 0 or p.discriminant == 0 or p.trace != 0:
-        raise CaseMismatch("requires distinct eigenvalues and a + d = 0")
+    require_case(p, CaseTag.ANTITRACE_DISTINCT)
     m, odd = divmod(n, 2)
     s = (p.a * p.a + p.b * p.c) ** m
     if odd:
@@ -181,8 +185,7 @@ def spectral_power_elements(p: SystemParams, n: int):
 
 
 def power_distinct(p: SystemParams, n: int) -> Mat2:
-    if p.det == 0 or p.discriminant == 0:
-        raise CaseMismatch("requires ad - bc != 0 and distinct eigenvalues")
+    require_case(p, CaseTag.DISTINCT, CaseTag.ANTITRACE_DISTINCT)
     # Realness certificate: to_rational raises on a nonzero sqrt(D) part.
     entries = spectral_power_elements(p, n)
     return Mat2(*(e.to_rational() if isinstance(e, QuadScalar) else e for e in entries))

@@ -16,14 +16,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    CaseMismatch,
     DigitBudgetExceeded,
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
 from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, estimated_digits, geometric_exponent, antitrace_exponents, three_pow
 from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq, repeated_ratio_constants
-from .matrix import CaseTag, SystemParams, classify
+from .matrix import CaseTag, SystemParams, classify, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
 
 
@@ -78,11 +77,7 @@ def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredV
 
 
 def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    if p.det != 0:
-        raise CaseMismatch("requires ad - bc = 0")
-    verdict = z0_member(p, init)
-    if verdict.is_member:
-        raise TrivialSolutionEncountered(verdict.witness)
+    z0_member(p, init).reject_member()
     if n == 0:
         return _initial_term(init)
     # y_n / x_n is the constant t from the proportional rows; a = 0 forces
@@ -95,11 +90,7 @@ def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTer
 
 
 def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    if p.det == 0 or p.discriminant != 0:
-        raise CaseMismatch("requires ad - bc != 0 and zero discriminant")
-    verdict = z2_member(p, init)
-    if verdict.is_member:
-        raise TrivialSolutionEncountered(verdict.witness)
+    z2_member(p, init).reject_member()
     rc = repeated_ratio_constants(p, init)
     rho = [(rc.c3 + rc.c4 * k) / (rc.c1 + rc.c2 * k) for k in range(n + 1)]
     x = cubic_coeff_solve([p.a * r + p.b * r * r for r in rho[:n]], init.x0, n)
@@ -107,8 +98,7 @@ def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
 
 
 def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    if classify(p) is not CaseTag.DISTINCT:
-        raise CaseMismatch("requires distinct eigenvalues and nonzero trace")
+    require_case(p, CaseTag.DISTINCT)
     states = linear_orbit_seq(p, init, n)
     for st in states:
         if st.u == 0 or st.v == 0:
@@ -121,11 +111,7 @@ def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
 
 
 def solve_antitrace(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    if classify(p) is not CaseTag.ANTITRACE_DISTINCT:
-        raise CaseMismatch("requires distinct eigenvalues and a + d = 0")
-    verdict = z3_member(p, init)
-    if verdict.is_member:
-        raise TrivialSolutionEncountered(verdict.witness)
+    z3_member(p, init).reject_member()
     r_even, r_odd = antitrace_ratios(p, init)
     base_even = p.a * r_even + p.b * r_even * r_even
     base_odd = p.a * r_odd + p.b * r_odd * r_odd
@@ -208,12 +194,15 @@ class VerificationReport:
     verdict: ZeroSetVerdict
     depth: int
     equal_by_n: list[bool] = field(default_factory=list)
-    first_divergence: Optional[int] = None
     trivial_zeros_confirmed: Optional[bool] = None
 
     @property
+    def first_divergence(self) -> Optional[int]:
+        return next((n for n, ok in enumerate(self.equal_by_n) if not ok), None)
+
+    @property
     def all_equal(self) -> bool:
-        return all(self.equal_by_n) and self.first_divergence is None
+        return all(self.equal_by_n)
 
     def to_dict(self) -> dict:
         out = {
@@ -260,10 +249,8 @@ def verify(
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        ok = _terms_equal(closed, direct[n], digit_budget) and _terms_equal(
-            recon, direct[n], digit_budget
+        report.equal_by_n.append(
+            _terms_equal(closed, direct[n], digit_budget)
+            and _terms_equal(recon, direct[n], digit_budget)
         )
-        report.equal_by_n.append(ok)
-        if not ok and report.first_divergence is None:
-            report.first_divergence = n
     return report

@@ -15,9 +15,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CaseMismatch, DegenerateParameters
+from .errors import DegenerateParameters, TrivialSolutionEncountered
 from .linearize import InitialPair, distinct_orbit_coefficients, repeated_ratio_constants
-from .matrix import CaseTag, SystemParams, classify, eigenvalues
+from .matrix import CaseTag, SystemParams, classify, eigenvalues, require_case
 
 DEFAULT_HORIZON = 64
 
@@ -38,6 +38,11 @@ class ZeroSetVerdict:
     def is_member(self) -> bool:
         return self.status is Membership.MEMBER
 
+    def reject_member(self) -> None:
+        """Raise TrivialSolutionEncountered when the pair is a member."""
+        if self.is_member:
+            raise TrivialSolutionEncountered(self.witness)
+
 
 def _member(witness: int) -> ZeroSetVerdict:
     return ZeroSetVerdict(Membership.MEMBER, witness=witness)
@@ -49,8 +54,7 @@ def z0_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
     When additionally a + d = 0 the matrix is nilpotent (A^2 = 0) and every
     initial pair is a member, with witness at most 2.
     """
-    if p.det != 0:
-        raise CaseMismatch("z0 requires ad - bc = 0")
+    require_case(p, CaseTag.RANK_DEFICIENT)
     if init.x0 == 0 or init.y0 == 0:
         return _member(0)
     u1 = p.a * init.x0 + p.b * init.y0
@@ -91,8 +95,7 @@ def z1_member(p: SystemParams, init: InitialPair, horizon: int = DEFAULT_HORIZON
     an analytic NonMember; irrational or complex ones fall back to a
     bounded exact orbit scan.
     """
-    if p.det == 0 or p.discriminant == 0 or p.trace == 0:
-        raise CaseMismatch("z1 requires distinct eigenvalues and nonzero trace")
+    require_case(p, CaseTag.DISTINCT)
     eig = eigenvalues(p)
     if eig.is_rational:
         lam1, lam2 = eig.lam1, eig.lam2
@@ -130,8 +133,7 @@ def _linear_root_index(coeff: Fraction, const: Fraction) -> Optional[int]:
 def z2_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
     """Repeated eigenvalue: both vanishing conditions are linear in n, so
     membership is fully decidable."""
-    if p.det == 0 or p.discriminant != 0:
-        raise CaseMismatch("z2 requires ad - bc != 0 and zero discriminant")
+    require_case(p, CaseTag.REPEATED)
     # u_n and v_n are ((a+d)/2)^(n-1) times c1 + c2 n and c3 + c4 n
     rc = repeated_ratio_constants(p, init)
     rows = [(rc.c2, rc.c1), (rc.c4, rc.c3)]
@@ -144,8 +146,7 @@ def z2_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
 def z3_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
     """Trace zero with distinct eigenvalues: x0 y0 = 0, a x0 + b y0 = 0 or
     c x0 + d y0 = 0."""
-    if p.det == 0 or p.discriminant == 0 or p.trace != 0:
-        raise CaseMismatch("z3 requires distinct eigenvalues and a + d = 0")
+    require_case(p, CaseTag.ANTITRACE_DISTINCT)
     if init.x0 == 0 or init.y0 == 0:
         return _member(0)
     if p.a * init.x0 + p.b * init.y0 == 0 or p.c * init.x0 + p.d * init.y0 == 0:

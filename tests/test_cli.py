@@ -157,6 +157,29 @@ class TestVerify:
         assert doc["trivial"]["zeros_confirmed"] is True
 
 
+class TestJsonHeader:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"] + PARAMS,
+            ["eigen"] + PARAMS,
+            ["power"] + PARAMS + ["-n", "3"],
+            ["orbit"] + PARAMS + INIT + ["-n", "3"],
+            ["zeroset"] + PARAMS + INIT,
+            ["solve"] + PARAMS + INIT + ["-n", "3"],
+            ["iterate"] + PARAMS + INIT + ["-n", "3"],
+            ["verify"] + PARAMS + INIT + ["-N", "3"],
+            ["verify", "-a", "1", "-b", "1", "-c", "1", "-d=-1", "--x0", "1", "--y0", "1", "-N", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_schema_then_case_first(self, argv, capsys):
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        assert list(doc)[:2] == ["schema", "case"]
+        assert doc["schema"] == "cubic-orbit/1"
+
+
 class TestExitCodes:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from cubicorbit.errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from cubicorbit.exact import estimated_digits, geometric_exponent, pow_rational, three_pow
+from cubicorbit.exact import FactoredValue, estimated_digits, geometric_exponent, pow_rational, three_pow
 from cubicorbit.linearize import InitialPair, linear_orbit_seq
 from cubicorbit.matrix import CaseTag, SystemParams, classify
 from cubicorbit.solve import (
+    OrbitTerm,
     TrivialReport,
     cubic_coeff_solve,
     iterate_direct,
@@ -27,6 +29,9 @@ from cubicorbit.solve import (
 )
 
 from helpers import direct_orbit, first_orbit_zero, random_init, random_params
+
+# the package exports the function solve under the submodule's name
+solve_module = importlib.import_module("cubicorbit.solve")
 
 F = Fraction
 
@@ -352,6 +357,22 @@ class TestVerify:
         report = verify(params(2, 1, 1, 2), init(0, 1), 2)
         assert report.verdict.is_member and report.verdict.witness == 0
         assert report.trivial_zeros_confirmed is True
+
+    def test_divergence_reported(self, monkeypatch):
+        original = solve_module.reconstruct_general
+
+        def negate_x_at_two(p, i, n):
+            term = original(p, i, n)
+            if n == 2:
+                return OrbitTerm(n, term.x.times(FactoredValue.from_rational(F(-1))), term.y)
+            return term
+
+        monkeypatch.setattr(solve_module, "reconstruct_general", negate_x_at_two)
+        report = verify(params(2, 1, 1, 2), init(1, 2), 3)
+        assert report.equal_by_n == [True, True, False, True]
+        assert report.first_divergence == 2
+        assert report.all_equal is False
+        assert report.to_dict()["first_divergence"] == 2
 
     def test_to_dict_shape(self):
         doc = verify(params(2, 1, 1, 2), init(1, 2), 3).to_dict()

@@ -4,6 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+# Imported here, not first inside canonical_key: the lazy import takes about
+# 0.4 s, past the hypothesis deadline of the first example that reaches it
+# when this file runs on its own.
+import sympy  # noqa: F401
 
 from cubicorbit.errors import DigitBudgetExceeded, DivisionByZero
 from cubicorbit.exact import (
