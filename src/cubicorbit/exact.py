@@ -7,6 +7,8 @@ Q(sqrt(D)); D may be negative, in which case the arithmetic is still purely
 formal via (sqrt(D))^2 = D.  ``FactoredValue`` defers expansion of values
 whose digit count is exponential in n; expanding one takes one cubing per
 base-3 digit of its exponents, with only the small bases multiplied in.
+Over a ``CoprimeBasis`` a factored value has a unique exponent vector, so
+values compare without expansion.
 """
 
 from __future__ import annotations
@@ -189,6 +191,115 @@ class QuadScalar:
         return f"{format_rational(self.p)} + {format_rational(self.q)}*sqrt({format_rational(self.D)})"
 
 
+def _trit_horner(value, factors, max_bits=None):
+    """value * prod base**exp by Horner's rule on the base-3 digits of all
+    exponents at once: one cubing per digit, multiplying in ``base`` or
+    ``base**2`` for each factor whose digit there is 1 or 2.
+
+    With ``max_bits`` (positive int value and bases), returns None as soon
+    as the result is sure to need more bits, before cubing past them.
+    """
+    top = max((exp for _, exp in factors), default=0)
+    place = 1
+    while place * 3 <= top:
+        place *= 3
+    while place:
+        # a b-bit value cubed has at least 3b - 2 bits, and no later step
+        # makes it smaller
+        if max_bits is not None and 3 * value.bit_length() - 2 > max_bits:
+            return None
+        value = value**3
+        for base, exp in factors:
+            trit = exp // place % 3
+            if trit:
+                value *= base if trit == 1 else base * base
+        place //= 3
+    return value
+
+
+def expand_exponents(vec: dict[int, int], num_bits: int, den_bits: int):
+    """(numerator, denominator) of prod q**e over a coprime basis, or None
+    once either is sure to need more than ``num_bits`` / ``den_bits`` bits.
+
+    The basis is coprime, so the two are coprime and the fraction is
+    reduced; nothing much longer than the caps is ever built.
+    """
+    num = _trit_horner(1, [(q, e) for q, e in vec.items() if e > 0], num_bits)
+    if num is None:
+        return None
+    den = _trit_horner(1, [(q, -e) for q, e in vec.items() if e < 0], den_bits)
+    if den is None:
+        return None
+    return num, den
+
+
+class CoprimeBasis:
+    """A gcd-free basis: pairwise-coprime integers > 1 over which every
+    integer added so far factors, grown one integer at a time.
+
+    Each ``add`` refines by pairwise gcds: an element q sharing g with the
+    new integer a is replaced by g and q/g, and a/g is added in turn.
+    That is quadratic in the number of elements, which is small here;
+    D. J. Bernstein, "Factoring into coprimes in essentially linear time"
+    (J. Algorithms, 2005) gives the near-linear refinement.
+    """
+
+    def __init__(self):
+        self._elements: set[int] = set()
+        self._factored: dict[int, dict[int, int]] = {}
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(sorted(self._elements))
+
+    def add(self, m: int) -> None:
+        """Refine the basis so that the positive integer m factors over it."""
+        if m in self._factored:
+            return
+        pending = [m]
+        while pending:
+            a = pending.pop()
+            if a == 1:
+                continue
+            for q in self._elements:
+                g = math.gcd(a, q)
+                if g == q:
+                    pending.append(a // q)
+                    break
+                if g > 1:
+                    self._elements.remove(q)
+                    self._factored = {k: f for k, f in self._factored.items() if q not in f}
+                    pending += (g, q // g, a // g)
+                    break
+            else:
+                self._elements.add(a)
+
+    def add_value(self, value: "FactoredValue") -> None:
+        """Add every numerator and denominator of the value's bases."""
+        for base, _ in value.factors:
+            self.add(base.numerator)
+            self.add(base.denominator)
+
+    def factor(self, m: int) -> dict[int, int]:
+        """The exponent of each basis element in the positive integer m."""
+        f = self._factored.get(m)
+        if f is None:
+            f, rest = {}, m
+            for q in self._elements:
+                if rest == 1:
+                    break
+                e = 0
+                while rest % q == 0:
+                    rest //= q
+                    e += 1
+                if e:
+                    f[q] = e
+            if rest != 1:
+                raise ValueError(f"{m} does not factor over the basis")
+            self._factored[m] = f
+        return f
+
+
 def _sign(r: Fraction) -> int:
     return (r > 0) - (r < 0)
 
@@ -243,22 +354,27 @@ class FactoredValue:
         est = self.estimated_digits()
         if est > digit_budget:
             raise DigitBudgetExceeded(est, digit_budget)
-        # Horner's rule on the base-3 digits of all exponents at once:
         # cubing a reduced Fraction needs no gcd, and each base multiplied
         # in is small, so no gcd of two full-size numbers is ever taken.
-        top = max((exp for _, exp in self.factors), default=0)
-        place = 1
-        while place * 3 <= top:
-            place *= 3
-        value = Fraction(self.sign)
-        while place:
-            value = value**3
-            for base, exp in self.factors:
-                trit = exp // place % 3
-                if trit:
-                    value *= base if trit == 1 else base * base
-            place //= 3
-        return value
+        return _trit_horner(Fraction(self.sign), self.factors)
+
+    def exponent_vector(self, basis: "CoprimeBasis") -> tuple[int, dict[int, int]]:
+        """Sign plus the signed exponent of each basis element in the value.
+
+        Every numerator and denominator of a base must factor over
+        ``basis`` (see ``CoprimeBasis.add_value``).  Over a coprime basis
+        this pair identifies the value: two values are equal exactly when
+        their vectors are.
+        """
+        if self.sign == 0:
+            return 0, {}
+        vec: dict[int, int] = {}
+        for base, exp in self.factors:
+            for q, e in basis.factor(base.numerator).items():
+                vec[q] = vec.get(q, 0) + e * exp
+            for q, e in basis.factor(base.denominator).items():
+                vec[q] = vec.get(q, 0) - e * exp
+        return self.sign, {q: e for q, e in vec.items() if e}
 
     def canonical_key(self):
         """Sign plus the prime-exponent map of the denoted value.

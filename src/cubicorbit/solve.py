@@ -20,7 +20,17 @@ from .errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from .exact import DEFAULT_DIGIT_BUDGET, FactoredValue, estimated_digits, geometric_exponent, antitrace_exponents, three_pow
+from .exact import (
+    DEFAULT_DIGIT_BUDGET,
+    ONE,
+    CoprimeBasis,
+    FactoredValue,
+    antitrace_exponents,
+    estimated_digits,
+    expand_exponents,
+    geometric_exponent,
+    three_pow,
+)
 from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq, repeated_ratio_constants
 from .matrix import CaseTag, SystemParams, classify, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
@@ -175,17 +185,57 @@ def reconstruct_general(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm
     )
 
 
-def _terms_equal(s: OrbitTerm, t: OrbitTerm, digit_budget: int) -> bool:
-    try:
-        return (
-            s.x.expand(digit_budget) == t.x.expand(digit_budget)
-            and s.y.expand(digit_budget) == t.y.expand(digit_budget)
-        )
-    except DigitBudgetExceeded:
-        return (
-            s.x.canonical_key() == t.x.canonical_key()
-            and s.y.canonical_key() == t.y.canonical_key()
-        )
+def _magnitude(v: FactoredValue) -> Fraction:
+    """|r| for v = FactoredValue.from_rational(r) != 0, without expand."""
+    return v.factors[0][0] if v.factors else ONE
+
+
+def _equals(vec: dict[int, int], r: Fraction) -> bool:
+    """Whether prod q**e equals r > 0; nothing longer than r is built."""
+    num, den = r.numerator, r.denominator
+    return expand_exponents(vec, num.bit_length(), den.bit_length()) == (num, den)
+
+
+def _ratio_equals(vec: dict[int, int], x: Fraction, y: Fraction) -> bool:
+    """Whether y = x * rho for rho = prod q**e and x, y > 0.
+
+    With rho = N/D in lowest terms, y = x*rho makes N divide y's numerator
+    times x's denominator and D divide x's numerator times y's denominator,
+    which caps how far N and D are expanded.
+    """
+    parts = expand_exponents(
+        vec,
+        y.numerator.bit_length() + x.denominator.bit_length(),
+        x.numerator.bit_length() + y.denominator.bit_length(),
+    )
+    return parts is not None and y == x * Fraction(*parts)
+
+
+def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: CoprimeBasis) -> bool:
+    """closed == recon == direct at one n, with one expansion of x_n.
+
+    Closed and reconstruction compare by exponent vectors over ``basis``,
+    which must cover all four values.  Closed x_n is expanded against the
+    direct x_n, and y_n is checked through rho = y_n / x_n, read off the
+    vector difference.
+    """
+    cx, cy = closed.x.exponent_vector(basis), closed.y.exponent_vector(basis)
+    if (cx, cy) != (recon.x.exponent_vector(basis), recon.y.exponent_vector(basis)):
+        return False
+    (sx, vx), (sy, vy) = cx, cy
+    if (sx, sy) != (direct.x.sign, direct.y.sign):
+        return False
+    x, y = _magnitude(direct.x), _magnitude(direct.y)
+    if sx and not _equals(vx, x):
+        return False
+    if not sy:
+        return True
+    if not sx:
+        return _equals(vy, y)
+    rho = dict(vy)
+    for q, e in vx.items():
+        rho[q] = rho.get(q, 0) - e
+    return _ratio_equals({q: e for q, e in rho.items() if e}, x, y)
 
 
 @dataclass
@@ -246,11 +296,11 @@ def verify(
         report.trivial_zeros_confirmed = confirmed
         return report
     solver = _CASE_SOLVERS[tag]
+    basis = CoprimeBasis()
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        report.equal_by_n.append(
-            _terms_equal(closed, direct[n], digit_budget)
-            and _terms_equal(recon, direct[n], digit_budget)
-        )
+        for value in (closed.x, closed.y, recon.x, recon.y):
+            basis.add_value(value)
+        report.equal_by_n.append(_paths_agree(closed, recon, direct[n], basis))
     return report

@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -379,3 +380,71 @@ class TestVerify:
         assert doc["case"] == "distinct"
         assert doc["all_equal"] is True
         assert doc["trivial"] == {"member": False}
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_divergence_in_y_alone(self, monkeypatch, n):
+        p, i = params(2, 1, 1, 2), init(1, 2)
+        original = solve_module._CASE_SOLVERS[classify(p)]
+
+        def change_y(p, i, m):
+            term = original(p, i, m)
+            if m == n:
+                return OrbitTerm(m, term.x, term.y.times(FactoredValue.from_rational(F(3, 2))))
+            return term
+
+        monkeypatch.setitem(solve_module._CASE_SOLVERS, classify(p), change_y)
+        report = verify(p, i, 3)
+        assert report.equal_by_n == [m != n for m in range(4)]
+        assert report.first_divergence == n
+
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    @pytest.mark.parametrize("base,exp", [(F(2), 3**20), (F(3, 2), 1)], ids=["huge", "small"])
+    def test_factor_in_both_paths_rejected(self, monkeypatch, coordinate, base, exp):
+        # Both paths get the factor, so they agree with each other and only
+        # the comparison with the direct term can tell.  2^(3^20) has about
+        # 10^9 digits: that comparison must stop expanding early.
+        p, i = params(2, 1, 1, 2), init(1, 2)
+        factor = FactoredValue.build(1, [(base, exp)])
+
+        def tamper(solver):
+            def patched(p, i, n):
+                term = solver(p, i, n)
+                if n != 2:
+                    return term
+                if coordinate == "x":
+                    return OrbitTerm(n, term.x.times(factor), term.y)
+                return OrbitTerm(n, term.x, term.y.times(factor))
+            return patched
+
+        monkeypatch.setitem(
+            solve_module._CASE_SOLVERS, classify(p), tamper(solve_module._CASE_SOLVERS[classify(p)])
+        )
+        monkeypatch.setattr(solve_module, "reconstruct_general", tamper(reconstruct_general))
+        start = time.perf_counter()
+        report = verify(p, i, 3)
+        assert time.perf_counter() - start < 5
+        assert report.equal_by_n == [True, True, False, True]
+
+    def test_budget_refusal_is_that_of_iterate_direct(self):
+        p, i = params(F(1, 2), 3, F(-2, 5), 1), init(F(3, 7), F(5, 2))
+        last = iterate_direct(p, i, 6)[-1]
+        est = max(estimated_digits(last.x.expand(), 3), estimated_digits(last.y.expand(), 3))
+        assert verify(p, i, 7, digit_budget=est).equal_by_n == [True] * 8
+        assert verify(p, i, 6, digit_budget=est - 1).all_equal
+        for run in (iterate_direct, verify):
+            with pytest.raises(DigitBudgetExceeded) as err:
+                run(p, i, 7, digit_budget=est - 1)
+            assert err.value.estimated_digits == est
+
+    def test_former_sympy_fallback_needs_no_canonical_key(self, monkeypatch):
+        # expand's estimate refuses closed x_7 at this budget, so terms
+        # were once compared by factoring bases with sympy.
+        p, i = params(1, 0, -2, 2), init(F(-3, 2), F(2, 3))
+        assert solve_distinct(p, i, 7).x.estimated_digits() > 1000
+
+        def refuse(self):
+            raise AssertionError("canonical_key called")
+
+        monkeypatch.setattr(FactoredValue, "canonical_key", refuse)
+        report = verify(p, i, 7, digit_budget=1000)
+        assert report.equal_by_n == [True] * 8

@@ -11,10 +11,12 @@ import sympy  # noqa: F401
 
 from cubicorbit.errors import DigitBudgetExceeded, DivisionByZero
 from cubicorbit.exact import (
+    CoprimeBasis,
     FactoredValue,
     QuadScalar,
     antitrace_exponents,
     estimated_digits,
+    expand_exponents,
     format_rational,
     geometric_exponent,
     parse_rational,
@@ -266,3 +268,77 @@ class TestFactoredValue:
         b = FactoredValue.build(1, [(F(2), 6)])
         c = FactoredValue.build(1, [(F(8), 2), (F(2), 0)])
         assert a.canonical_key() == b.canonical_key() == c.canonical_key()
+
+
+factored_values = st.builds(
+    FactoredValue.build,
+    st.sampled_from([1, -1]),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(bool),
+            st.integers(min_value=0, max_value=4).flatmap(
+                lambda m: st.sampled_from([m, 3**m, geometric_exponent(m)])
+            ),
+        ),
+        max_size=4,
+    ),
+)
+
+
+class TestCoprimeBasis:
+    @given(st.lists(factored_values, min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_basis_properties(self, values):
+        # each value next to an equal one factored differently: its expansion
+        values = values + [FactoredValue.from_rational(v.expand()) for v in values]
+        basis = CoprimeBasis()
+        for v in values:
+            basis.add_value(v)
+        elements = basis.elements
+        assert all(q > 1 for q in elements)
+        assert all(math.gcd(q, r) == 1 for k, q in enumerate(elements) for r in elements[:k])
+        for v in values:
+            for base, _ in v.factors:
+                for m in (base.numerator, base.denominator):
+                    assert math.prod(q**e for q, e in basis.factor(m).items()) == m
+        vectors = [v.exponent_vector(basis) for v in values]
+        keys = [v.canonical_key() for v in values]
+        for a, ka in zip(vectors, keys):
+            for b, kb in zip(vectors, keys):
+                assert (a == b) == (ka == kb)
+        for v, (sign, vec) in zip(values, vectors):
+            value = v.expand()
+            num, den = abs(value.numerator), value.denominator
+            assert sign == v.sign
+            assert expand_exponents(vec, num.bit_length(), den.bit_length()) == (num, den)
+
+    def test_refinement_splits_shared_factors(self):
+        basis = CoprimeBasis()
+        for m in (12, 18, 1, 35):
+            basis.add(m)
+        assert basis.elements == (2, 3, 35)  # coprime, not necessarily prime
+        assert basis.factor(12) == {2: 2, 3: 1}
+        basis.add(4)  # already factors: no split
+        assert basis.factor(35) == {35: 1}
+        basis.add(10)
+        assert basis.elements == (2, 3, 5, 7)
+        assert basis.factor(35) == {5: 1, 7: 1}
+        with pytest.raises(ValueError):
+            basis.factor(11)
+
+    def test_exponent_vector_cancels_across_factors(self):
+        basis = CoprimeBasis()
+        v = FactoredValue.build(-1, [(F(6, 5), 9), (F(5, 4), 9)])  # -(3/2)^9
+        basis.add_value(v)
+        sign, vec = v.exponent_vector(basis)
+        assert sign == -1
+        assert basis.elements == (2, 3, 5)
+        assert vec == {2: -9, 3: 9}
+        assert expand_exponents(vec, 15, 10) == (3**9, 2**9)
+
+    def test_expansion_stops_past_the_cap(self):
+        # 2^(3^30) has ~2 * 10^14 bits; the cap stops it at the first cube past 64 bits
+        assert expand_exponents({2: 3**30}, 64, 1) is None
+        assert expand_exponents({2: -(3**30)}, 1, 64) is None
+        assert expand_exponents({2: 5, 3: -2}, 3, 4) is None
+        assert expand_exponents({2: 5, 3: -2}, 6, 4) == (32, 9)
