@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import (
@@ -41,44 +42,6 @@ EXIT_UNKNOWN = 6
 def _env_digit_budget() -> int:
     raw = os.environ.get("CUBIC_ORBIT_DIGIT_BUDGET")
     return int(raw) if raw else DEFAULT_DIGIT_BUDGET
-
-
-def _add_params(sub: argparse.ArgumentParser):
-    for flag in "abcd":
-        sub.add_argument(f"-{flag}", required=True, help=f"coefficient {flag} (rational)")
-
-
-def _add_init(sub: argparse.ArgumentParser):
-    sub.add_argument("--x0", required=True, help="initial x0 (rational)")
-    sub.add_argument("--y0", required=True, help="initial y0 (rational)")
-
-
-def _add_common(sub: argparse.ArgumentParser, init=False, n=False, big_n=False):
-    _add_params(sub)
-    if init:
-        _add_init(sub)
-    if n:
-        sub.add_argument("-n", type=int, required=True, help="term index")
-    if big_n:
-        sub.add_argument("-N", type=int, required=True, help="verification depth")
-    sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    sub.add_argument("--digit-budget", type=int, default=None)
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--factored", action="store_true")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cubic-orbit", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-    _add_common(subs.add_parser("classify", help="print the parameter case"))
-    _add_common(subs.add_parser("eigen", help="eigenvalue data of the coefficient matrix"))
-    _add_common(subs.add_parser("power", help="closed-form matrix power"), n=True)
-    _add_common(subs.add_parser("orbit", help="linearized orbit term (u_n, v_n)"), init=True, n=True)
-    _add_common(subs.add_parser("zeroset", help="zero-set membership"), init=True)
-    _add_common(subs.add_parser("solve", help="closed-form solution term"), init=True, n=True)
-    _add_common(subs.add_parser("iterate", help="direct iteration of the system"), init=True, n=True)
-    _add_common(subs.add_parser("verify", help="cross-check all solution paths"), init=True, big_n=True)
-    return parser
 
 
 def _config(args):
@@ -122,20 +85,20 @@ def _render(value, budget: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _value_json(fv: FactoredValue, factored: bool, budget: int):
-    if not factored:
+def _value(fv: FactoredValue, args, budget: int):
+    """The printed form of a value: its expanded text; under --factored its
+    factored text, or its factored JSON object when --json is also set."""
+    if not args.factored:
         return _render(fv.expand(budget), budget)
+    if not args.json:
+        return _render(fv, budget)
     return {
         "sign": fv.sign,
         "factors": [[_render(b, budget), _render(e, budget)] for b, e in fv.factors],
     }
 
 
-def _value_text(fv: FactoredValue, factored: bool, budget: int) -> str:
-    return _render(fv if factored else fv.expand(budget), budget)
-
-
-def _emit(args, params, fields: dict, human_lines: list[str]) -> int:
+def _emit(args, params, fields: dict, human_lines: Iterable[str]) -> int:
     """Print the human lines, or under --json one document that starts with
     the schema and the parameter case, followed by the command's fields."""
     if args.json:
@@ -208,36 +171,20 @@ def _cmd_solve(args, params, init, budget):
         return EXIT_TRIVIAL
     doc = {
         "n": result.n,
-        "x": _value_json(result.x, args.factored, budget),
-        "y": _value_json(result.y, args.factored, budget),
+        "x": _value(result.x, args, budget),
+        "y": _value(result.y, args, budget),
         "trivial": {"member": False},
     }
-    lines = [
-        f"x_{result.n} = {_value_text(result.x, args.factored, budget)}",
-        f"y_{result.n} = {_value_text(result.y, args.factored, budget)}",
-    ]
-    return _emit(args, params, doc, lines)
+    return _emit(args, params, doc, (f"{k}_{result.n} = {doc[k]}" for k in "xy"))
 
 
 def _cmd_iterate(args, params, init, budget):
-    terms = iterate_direct(params, init, args.n, budget)
-    doc = {
-        "n": args.n,
-        "terms": [
-            {
-                "n": t.n,
-                "x": _value_json(t.x, args.factored, budget),
-                "y": _value_json(t.y, args.factored, budget),
-            }
-            for t in terms
-        ],
-    }
-    lines = [
-        f"x_{t.n} = {_value_text(t.x, args.factored, budget)}, "
-        f"y_{t.n} = {_value_text(t.y, args.factored, budget)}"
-        for t in terms
+    terms = [
+        {"n": t.n, "x": _value(t.x, args, budget), "y": _value(t.y, args, budget)}
+        for t in iterate_direct(params, init, args.n, budget)
     ]
-    return _emit(args, params, doc, lines)
+    lines = (f"x_{t['n']} = {t['x']}, y_{t['n']} = {t['y']}" for t in terms)
+    return _emit(args, params, {"n": args.n, "terms": terms}, lines)
 
 
 def _cmd_verify(args, params, init, budget):
@@ -256,16 +203,43 @@ def _cmd_verify(args, params, init, budget):
     return _emit(args, params, report.to_dict(), lines)
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "eigen": _cmd_eigen,
-    "power": _cmd_power,
-    "orbit": _cmd_orbit,
-    "zeroset": _cmd_zeroset,
-    "solve": _cmd_solve,
-    "iterate": _cmd_iterate,
-    "verify": _cmd_verify,
+_INIT = ("--x0", "--y0")
+
+_INPUTS = {
+    "--x0": {"help": "initial x0 (rational)"},
+    "--y0": {"help": "initial y0 (rational)"},
+    "-n": {"type": int, "help": "term index"},
+    "-N": {"type": int, "help": "verification depth"},
 }
+
+# name: (function, help, inputs beyond -a..-d and the common flags)
+_COMMANDS = {
+    "classify": (_cmd_classify, "print the parameter case", ()),
+    "eigen": (_cmd_eigen, "eigenvalue data of the coefficient matrix", ()),
+    "power": (_cmd_power, "closed-form matrix power", ("-n",)),
+    "orbit": (_cmd_orbit, "linearized orbit term (u_n, v_n)", (*_INIT, "-n")),
+    "zeroset": (_cmd_zeroset, "zero-set membership", _INIT),
+    "solve": (_cmd_solve, "closed-form solution term", (*_INIT, "-n")),
+    "iterate": (_cmd_iterate, "direct iteration of the system", (*_INIT, "-n")),
+    "verify": (_cmd_verify, "cross-check all solution paths", (*_INIT, "-N")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cubic-orbit", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (cmd, help_text, inputs) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(cmd=cmd)
+        for flag in "abcd":
+            sub.add_argument(f"-{flag}", required=True, help=f"coefficient {flag} (rational)")
+        for flag in inputs:
+            sub.add_argument(flag, required=True, **_INPUTS[flag])
+        sub.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+        sub.add_argument("--digit-budget", type=int, default=None)
+        sub.add_argument("--json", action="store_true")
+        sub.add_argument("--factored", action="store_true")
+    return parser
 
 
 def run(argv=None) -> int:
@@ -276,7 +250,7 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         parser.exit(EXIT_USAGE, f"usage error: {exc}\n")
     try:
-        return _COMMANDS[args.command](args, *config)
+        return args.cmd(args, *config)
     except DegenerateParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

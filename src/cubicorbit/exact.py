@@ -160,9 +160,6 @@ class QuadScalar:
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
-
     def __pow__(self, exp: int):
         if exp < 0:
             return self.inv() ** (-exp)
@@ -177,10 +174,6 @@ class QuadScalar:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
 
     def to_rational(self) -> Fraction:
         if self.q != 0:

@@ -86,9 +86,6 @@ class Mat2:
     def apply(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
         return self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y
 
-    def entries(self):
-        return (self.a11, self.a12, self.a21, self.a22)
-
 
 @dataclass(frozen=True)
 class Eigenpair:

@@ -70,7 +70,8 @@ def iterate_direct(
         digits = max(estimated_digits(x, 3), estimated_digits(y, 3))
         if digits > digit_budget:
             raise DigitBudgetExceeded(digits, digit_budget)
-        x, y = x * y * (p.a * x + p.b * y), x * y * (p.c * x + p.d * y)
+        xy = x * y
+        x, y = xy * (p.a * x + p.b * y), xy * (p.c * x + p.d * y)
         terms.append(_term_from_rationals(k, x, y))
     return terms
 

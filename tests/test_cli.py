@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cubicorbit import cli
+from cubicorbit.exact import FactoredValue
 from cubicorbit.linearize import InitialPair
 from cubicorbit.matrix import SystemParams, power
 from cubicorbit.solve import iterate_direct, solve
@@ -207,6 +208,13 @@ class TestExitCodes:
                         "--x0", "1", "--y0", "1", "-n", "1"])
         assert code == 4
 
+    def test_trivial_solution_raised_in_verify(self, capsys):
+        # the scan to horizon 1 cannot see u_3 = 0; the case solver raises it
+        code = cli.run(["verify", "-a=-3", "-b=-3", "-c=-3", "-d", "0",
+                        "--x0", "2", "--y0=-3", "-N", "4", "--horizon", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == "error: trivial solution, witness=3\n"
+
 
 def _lifted(fn):
     """Run fn with Python's int/str digit limit off, to read big CLI output."""
@@ -258,6 +266,8 @@ class TestInputChecks:
             (["solve"] + PARAMS + INIT + ["-n=-1"], "-n must be >= 0"),
             (["iterate"] + PARAMS + INIT + ["-n=-1"], "-n must be >= 0"),
             (["verify"] + PARAMS + INIT + ["-N=-1"], "-N must be >= 0"),
+            (["classify"] + PARAMS + ["--horizon", "0"], "--horizon must be >= 1"),
+            (["classify"] + PARAMS + ["--digit-budget", "999"], "--digit-budget must be >= 1000"),
         ],
     )
     def test_negative_index_is_usage_error(self, argv, message, capsys):
@@ -273,6 +283,29 @@ class TestInputChecks:
         monkeypatch.setattr(cli, "solve", broken)
         with pytest.raises(ValueError, match="internal fault"):
             cli.run(["solve"] + PARAMS + INIT + ["-n", "2"])
+
+
+class TestRenderOnce:
+    @pytest.mark.parametrize(
+        "mode", [[], ["--json"], ["--factored"], ["--json", "--factored"]],
+        ids=["text", "json", "factored", "json-factored"],
+    )
+    @pytest.mark.parametrize(
+        "argv,expansions",
+        [(["solve"] + PARAMS + INIT + ["-n", "3"], 2), (["iterate"] + PARAMS + INIT + ["-n", "2"], 6)],
+        ids=["solve", "iterate"],
+    )
+    def test_each_value_expanded_at_most_once(self, argv, expansions, mode, monkeypatch, capsys):
+        calls = []
+        original = FactoredValue.expand
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FactoredValue, "expand", counting)
+        assert cli.run(argv + mode) == 0
+        assert len(calls) == (0 if "--factored" in mode else expansions)
 
 
 class TestDeterminism:

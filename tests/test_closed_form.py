@@ -381,6 +381,10 @@ class TestVerify:
         assert doc["all_equal"] is True
         assert doc["trivial"] == {"member": False}
 
+    def test_to_dict_unknown_within_horizon(self):
+        doc = verify(params(-3, -3, -3, 0), init(2, -3), 1, horizon=1).to_dict()
+        assert doc["trivial"] == {"member": False, "unknown_within_horizon": 1}
+
     @pytest.mark.parametrize("n", [0, 2, 3])
     def test_divergence_in_y_alone(self, monkeypatch, n):
         p, i = params(2, 1, 1, 2), init(1, 2)
@@ -398,7 +402,9 @@ class TestVerify:
         assert report.first_divergence == n
 
     @pytest.mark.parametrize("coordinate", ["x", "y"])
-    @pytest.mark.parametrize("base,exp", [(F(2), 3**20), (F(3, 2), 1)], ids=["huge", "small"])
+    @pytest.mark.parametrize(
+        "base,exp", [(F(2), 3**20), (F(3, 2), 1), (F(-1), 1)], ids=["huge", "small", "sign"]
+    )
     def test_factor_in_both_paths_rejected(self, monkeypatch, coordinate, base, exp):
         # Both paths get the factor, so they agree with each other and only
         # the comparison with the direct term can tell.  2^(3^20) has about

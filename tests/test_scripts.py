@@ -27,3 +27,13 @@ def test_case_sweep(tmp_path):
     proc = run_script("case_sweep.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "grid size:" in proc.stdout
+
+
+def test_cli_digest_repeats(tmp_path):
+    runs = [run_script("cli_digest.py", "20", "3", cwd=tmp_path) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 20
+    assert all(len(line.split("\t")) == 4 for line in lines)
+    assert runs[1].stdout.splitlines() == lines
