@@ -8,7 +8,9 @@ formal via (sqrt(D))^2 = D.  ``FactoredValue`` defers expansion of values
 whose digit count is exponential in n; expanding one takes one cubing per
 base-3 digit of its exponents, with only the small bases multiplied in.
 Over a ``CoprimeBasis`` a factored value has a unique exponent vector, so
-values compare without expansion.
+values compare without expansion.  ``FactoredValue.build`` merges bases by
+their integer (numerator, denominator) pair, and ``coprime_fraction`` wraps
+a pair already known to be reduced without taking its gcd again.
 """
 
 from __future__ import annotations
@@ -52,6 +54,24 @@ def rational_sqrt(r: Fraction):
     if pn * pn == r.numerator and pd * pd == r.denominator:
         return Fraction(pn, pd)
     return None
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_ctor = Fraction._from_coprime_ints
+else:
+
+    def _coprime_ctor(n: int, d: int) -> Fraction:
+        return Fraction(n, d, _normalize=False)
+
+
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d, built without a gcd.
+
+    Precondition: n and d are ints with gcd(n, d) = 1 and d > 0.  Nothing
+    checks it; a pair that breaks it gives a Fraction that is not in
+    lowest terms and compares and hashes wrongly.
+    """
+    return _coprime_ctor(n, d)
 
 
 def three_pow(n: int) -> int:
@@ -293,10 +313,6 @@ class CoprimeBasis:
         return f
 
 
-def _sign(r: Fraction) -> int:
-    return (r > 0) - (r < 0)
-
-
 @dataclass(frozen=True)
 class FactoredValue:
     """sign * product of base**exp with positive bases != 1 and exponents > 0."""
@@ -307,36 +323,64 @@ class FactoredValue:
     @classmethod
     def build(cls, sign: int, factors) -> "FactoredValue":
         """Normalize: fold base signs into ``sign``, drop trivial factors,
-        merge repeated bases."""
+        merge repeated bases.
+
+        Bases merge by their (numerator, denominator) pair and signs are
+        read off the ints, so no Fraction is hashed or compared: a
+        Fraction's hash takes a modular inverse of its denominator, and
+        the bases of one tower often share it modulo 2^61 - 1.
+        """
         if sign == 0:
             return cls(0, ())
-        acc: dict[Fraction, int] = {}
+        acc: dict[tuple[int, int], list] = {}  # (num, den) -> [base or None, exp]
         for base, exp in factors:
-            base = Fraction(base)
             exp = int(exp)
-            if exp < 0:
-                base, exp = 1 / base, -exp
             if exp == 0:
                 continue
-            if base == 0:
+            if type(base) is not Fraction:
+                base = Fraction(base)
+            num, den = base.numerator, base.denominator
+            if num == 0:
+                if exp < 0:
+                    raise ZeroDivisionError("0 to a negative power")
                 return cls(0, ())
-            if base < 0:
+            if num < 0:
+                num, base = -num, None
                 if exp & 1:
                     sign = -sign
-                base = -base
-            if base == 1:
+            if exp < 0:
+                num, den, exp, base = den, num, -exp, None
+            if num == den:
                 continue
-            acc[base] = acc.get(base, 0) + exp
-        return cls(sign, tuple((b, e) for b, e in acc.items() if e != 0))
+            acc.setdefault((num, den), [base, 0])[1] += exp
+        return cls(
+            sign,
+            tuple(
+                (coprime_fraction(*key) if base is None else base, exp)
+                for key, (base, exp) in acc.items()
+            ),
+        )
 
     @classmethod
     def from_rational(cls, r: Fraction) -> "FactoredValue":
-        return cls.build(_sign(r), [(abs(r), 1)] if r not in (0, 1, -1) else [])
+        return cls.build(1, [(r, 1)])
 
     def times(self, other: "FactoredValue") -> "FactoredValue":
-        return FactoredValue.build(
-            self.sign * other.sign, list(self.factors) + list(other.factors)
-        )
+        """The product; equal to ``build`` over both factor lists, but only
+        ``other``'s factors are merged into this already normal tuple."""
+        sign = self.sign * other.sign
+        if sign == 0:
+            return FactoredValue(0, ())
+        factors = list(self.factors)
+        for base, exp in other.factors:
+            num, den = base.numerator, base.denominator
+            for i, (b, e) in enumerate(factors):
+                if b.numerator == num and b.denominator == den:
+                    factors[i] = (b, e + exp)
+                    break
+            else:
+                factors.append((base, exp))
+        return FactoredValue(sign, tuple(factors))
 
     def estimated_digits(self) -> int:
         return sum(estimated_digits(b, e) for b, e in self.factors)

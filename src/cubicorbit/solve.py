@@ -7,10 +7,17 @@ one family per parameter case, plus two independent cross-checks: a direct
 iteration oracle and a general reconstruction through the linearizing
 change of variables.  Terms have Theta(3^n) digits when expanded, so every
 solver returns a FactoredValue.
+
+The repeated and distinct solvers build their towers from one integer walk
+of the ratio r_k = v_k / u_k (``_ratio_walk``): each base is reduced by
+gcds against small constants of the matrix, never between two long
+numbers.  The cross-checks keep the Fraction orbit of ``linear_orbit_seq``,
+so they stay independent of that walk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -26,12 +33,13 @@ from .exact import (
     CoprimeBasis,
     FactoredValue,
     antitrace_exponents,
+    coprime_fraction,
     estimated_digits,
     expand_exponents,
     geometric_exponent,
     three_pow,
 )
-from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq, repeated_ratio_constants
+from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq
 from .matrix import CaseTag, SystemParams, classify, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
 
@@ -53,6 +61,11 @@ class TrivialReport:
 
 def _term_from_rationals(n: int, x: Fraction, y: Fraction) -> OrbitTerm:
     return OrbitTerm(n, FactoredValue.from_rational(x), FactoredValue.from_rational(y))
+
+
+def _term(n: int, x: FactoredValue, ratio: Fraction) -> OrbitTerm:
+    """The term with x_n = x and y_n = x * ratio."""
+    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(ratio)))
 
 
 def _initial_term(init: InitialPair) -> OrbitTerm:
@@ -80,10 +93,12 @@ def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredV
     """Solution x_n = x0^(3^n) * prod a_k^(3^(n-k-1)) of x_{k+1} = a_k x_k^3."""
     if n > len(coeffs):
         raise ValueError("need at least n coefficients")
-    if any(a == 0 for a in coeffs):
+    if not all(coeffs):
         raise ValueError("coefficients must be nonzero")
-    factors = [(x0, three_pow(n))]
-    factors += [(coeffs[k], three_pow(n - k - 1)) for k in range(n)]
+    powers = [1]  # powers[j] = 3^j, each from the last by one multiplication
+    for _ in range(n):
+        powers.append(3 * powers[-1])
+    factors = [(x0, powers[n])] + [(coeffs[k], powers[n - k - 1]) for k in range(n)]
     return FactoredValue.build(1, factors)
 
 
@@ -97,28 +112,62 @@ def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTer
     K = p.a * t + p.b * t * t
     x1 = init.x0 * init.y0 * (p.a * init.x0 + p.b * init.y0)
     x = FactoredValue.build(1, [(x1, three_pow(n - 1)), (K, geometric_exponent(n - 1))])
-    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(t)))
+    return _term(n, x, t)
+
+
+def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fraction], Fraction]:
+    """The tower bases a r_k + b r_k^2 for k < n and the ratio r_n, from one
+    integer walk of r_k = v_k / u_k.
+
+    With L the lcm of the coefficients' denominators, M = L*A is an
+    integer matrix with det' = det(M) != 0.  The walk keeps the primitive
+    integer vector (U, V) proportional to (u_k, v_k): (W, Z) = M (U, V)
+    is proportional to (u_{k+1}, v_{k+1}), and as det' U and det' V are
+    integer combinations of W and Z while gcd(U, V) = 1, gcd(W, Z)
+    divides det' and equals gcd(gcd(W, det'), Z).  The base is
+    V W / (L U^2).  For b != 0, gcd(V W, L U^2) divides L (L b)^2,
+    because gcd(U, V) = 1 and gcd(W, U) = gcd(L b, U); for b = 0 the base
+    is (L a) V / (L U) and its gcd divides L (L a).  So every gcd is taken
+    against a small constant, never between two long numbers, and the
+    reduced pairs become Fractions without a second gcd.
+    Raises TrivialSolutionEncountered at the first k <= n with u_k = 0
+    or v_k = 0.
+    """
+    L = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator, p.d.denominator)
+    # the entries of M = L*A
+    al, be, ga, de = (t.numerator * (L // t.denominator) for t in (p.a, p.b, p.c, p.d))
+    det = al * de - be * ga
+    small = L * be * be if be else L * al
+    U, V = init.x0.numerator * init.y0.denominator, init.y0.numerator * init.x0.denominator
+    g = math.gcd(U, V) or 1
+    U, V = U // g, V // g
+    bases = []
+    for k in range(n + 1):
+        if U == 0 or V == 0:
+            raise TrivialSolutionEncountered(k)
+        if U < 0:  # keeps every denominator below positive
+            U, V = -U, -V
+        if k == n:
+            break
+        W, Z = al * U + be * V, ga * U + de * V
+        num, den = (V * W, L * (U * U)) if be else (al * V, L * U)
+        g = math.gcd(math.gcd(num, small), den)
+        bases.append(coprime_fraction(num // g, den // g))
+        g = math.gcd(math.gcd(W, det), Z)
+        U, V = W // g, Z // g
+    return bases, coprime_fraction(V, U)
 
 
 def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     z2_member(p, init).reject_member()
-    rc = repeated_ratio_constants(p, init)
-    rho = [(rc.c3 + rc.c4 * k) / (rc.c1 + rc.c2 * k) for k in range(n + 1)]
-    x = cubic_coeff_solve([p.a * r + p.b * r * r for r in rho[:n]], init.x0, n)
-    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(rho[n])))
+    bases, ratio_n = _ratio_walk(p, init, n)
+    return _term(n, cubic_coeff_solve(bases, init.x0, n), ratio_n)
 
 
 def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     require_case(p, CaseTag.DISTINCT)
-    states = linear_orbit_seq(p, init, n)
-    for st in states:
-        if st.u == 0 or st.v == 0:
-            raise TrivialSolutionEncountered(st.n)
-    # a r_k + b r_k^2 = v_k u_{k+1} / u_k^2 with r_k = v_k / u_k
-    coeffs = [st.v * nxt.u / (st.u * st.u) for st, nxt in zip(states, states[1:])]
-    x = cubic_coeff_solve(coeffs, init.x0, n)
-    r_n = states[n].v / states[n].u
-    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(r_n)))
+    bases, ratio_n = _ratio_walk(p, init, n)
+    return _term(n, cubic_coeff_solve(bases, init.x0, n), ratio_n)
 
 
 def solve_antitrace(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
@@ -140,7 +189,7 @@ def solve_antitrace(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
             [(init.x0, three_pow(n)), (base_even, 3 * exp_even), (base_odd, exp_even)],
         )
         ratio_n = r_even
-    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(ratio_n)))
+    return _term(n, x, ratio_n)
 
 
 _CASE_SOLVERS = {

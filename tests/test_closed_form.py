@@ -1,9 +1,13 @@
+import hashlib
 import importlib
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cubicorbit.errors import (
     CaseMismatch,
@@ -253,6 +257,116 @@ class TestReconstructGeneral:
     def test_trivial_prefix(self):
         with pytest.raises(TrivialSolutionEncountered):
             reconstruct_general(params(1, 1, 1, 1), init(1, -1), 3)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+# zero half the time, so that b = 0 and c = 0 systems are common
+entries = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def repeated_systems(draw):
+    """lam I + s N with N = [[p q, -p^2], [q^2, -p q]] nilpotent: p = 0
+    gives b = 0 and q = 0 gives c = 0."""
+    lam = draw(rationals.filter(bool))
+    p, q, s = draw(entries), draw(entries), draw(st.sampled_from([1, -1]))
+    return SystemParams(lam + s * p * q, -s * p * p, s * q * q, lam - s * p * q)
+
+
+@st.composite
+def distinct_systems(draw):
+    p = SystemParams(draw(entries), draw(entries), draw(entries), draw(entries))
+    assume(classify(p) is CaseTag.DISTINCT)
+    return p
+
+
+class TestRatioWalk:
+    """The integer walk behind solve_repeated and solve_distinct against
+    the Fraction orbit of linear_orbit_seq."""
+
+    @staticmethod
+    def check(p, i, n):
+        first = first_orbit_zero(p, i, n)
+        if first is not None:
+            with pytest.raises(TrivialSolutionEncountered) as err:
+                solve_module._ratio_walk(p, i, n)
+            assert err.value.witness == first
+            return
+        bases, ratio_n = solve_module._ratio_walk(p, i, n)
+        states = linear_orbit_seq(p, i, n)
+        expected = [now.v * nxt.u / (now.u * now.u) for now, nxt in zip(states, states[1:])]
+        assert bases == expected
+        assert ratio_n == states[n].v / states[n].u
+        for r in bases + [ratio_n]:
+            assert r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+    @given(p=repeated_systems(), x0=entries, y0=entries, n=st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_repeated(self, p, x0, y0, n):
+        assert classify(p) is CaseTag.REPEATED
+        self.check(p, InitialPair(x0, y0), n)
+
+    @given(p=distinct_systems(), x0=entries, y0=entries, n=st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_distinct(self, p, x0, y0, n):
+        self.check(p, InitialPair(x0, y0), n)
+
+    @given(
+        l1=rationals.filter(bool),
+        l2=rationals.filter(bool),
+        s=st.tuples(rationals, rationals, rationals, rationals),
+        m=st.integers(0, 12),
+        extra=st.integers(0, 28),
+        column=st.sampled_from([(F(0), F(1)), (F(1), F(0))]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_member_raises_at_first_zero(self, l1, l2, s, m, extra, column):
+        # A = S diag(l1, l2) S^-1, and the seed A^-m e makes u_m or v_m zero
+        s11, s12, s21, s22 = s
+        det_s = s11 * s22 - s12 * s21
+        assume(det_s != 0 and l1 != l2 and l1 != -l2)
+        a = (s11 * l1 * s22 - s12 * l2 * s21) / det_s
+        b = (s12 * l2 * s11 - s11 * l1 * s12) / det_s
+        c = (s21 * l1 * s22 - s22 * l2 * s21) / det_s
+        d = (s22 * l2 * s11 - s21 * l1 * s12) / det_s
+        p = SystemParams(a, b, c, d)
+        assert classify(p) is CaseTag.DISTINCT
+        u, v = column
+        for _ in range(m):
+            u, v = (d * u - b * v) / p.det, (a * v - c * u) / p.det
+        i, n = InitialPair(u, v), m + extra
+        first = first_orbit_zero(p, i, n)
+        assert first is not None and first <= m
+        with pytest.raises(TrivialSolutionEncountered) as err:
+            solve_distinct(p, i, n)
+        assert err.value.witness == first
+
+
+class TestDeepFactoredOutput:
+    """sha256 of str(x_1000) and str(y_1000), pinned from the Fraction-orbit
+    solvers: the integer walk must give the same factors in the same order."""
+
+    @pytest.mark.parametrize(
+        "coeffs,seed,case,x_digest,y_digest",
+        [
+            ((10, -6, 9, -5), (6, 7), CaseTag.DISTINCT,  # eigenvalues 4 and 1
+             "83c29d86b050fc19fa4a75f6b52191969263b8b62b18b34feac966c2d587830e",
+             "7c7624cfdaa2d35130265538cd8558e122442c094d5e24a575fdf3ca09af681c"),
+            ((5, -1, 2, 2), (8, 13), CaseTag.DISTINCT,  # eigenvalues 4 and 3
+             "25b5de0035130872b4140fd88b6f4166395850431f1839a04ab23fba1f9b8985",
+             "ef3244e39be5559a73964f5097f7bf18c0017fccac1cabd14b5f5e6b74f8a4b4"),
+            ((3, -1, 1, 1), (4, 1), CaseTag.REPEATED,
+             "115a466e53b49cd906913816f5c7499a85b24c5d8be35f91ebe8a37504be720e",
+             "d69402c1d40c99d0d3d8d0f271cc4c7dedc17304a8a3c39f582ead18edc122c6"),
+        ],
+    )
+    def test_digest_at_n_1000(self, coeffs, seed, case, x_digest, y_digest):
+        p = params(*coeffs)
+        assert classify(p) is case
+        term = solve(p, init(*seed), 1000)
+        assert len(term.x.factors) == 1001
+        assert hashlib.sha256(str(term.x).encode()).hexdigest() == x_digest
+        assert hashlib.sha256(str(term.y).encode()).hexdigest() == y_digest
 
 
 class TestFactoredForm:

@@ -15,6 +15,7 @@ from cubicorbit.exact import (
     FactoredValue,
     QuadScalar,
     antitrace_exponents,
+    coprime_fraction,
     estimated_digits,
     expand_exponents,
     format_rational,
@@ -283,6 +284,53 @@ factored_values = st.builds(
         max_size=4,
     ),
 )
+
+
+class TestBuildMerge:
+    """build merges bases by value, never by hash."""
+
+    def test_equal_hashes_stay_apart(self):
+        assert hash(F(2)) == hash(F(2**62))
+        v = FactoredValue.build(1, [(F(2), 1), (F(2**62), 1)])
+        assert v.factors == ((F(2), 1), (F(2**62), 1))
+
+    def test_equal_bases_as_distinct_objects_merge(self):
+        a, b = F(10**40 + 1, 3**30), F(10**40 + 1, 3**30)
+        assert a is not b
+        assert FactoredValue.build(1, [(a, 3), (b, 9)]).factors == ((a, 12),)
+
+    def test_first_occurrence_order(self):
+        v = FactoredValue.build(1, [(F(5), 1), (F(3, 2), 2), (F(7), 1), (F(5), 4), (F(-3, 2), 1)])
+        assert v.sign == -1
+        assert v.factors == ((F(5), 5), (F(3, 2), 3), (F(7), 1))
+
+    def test_negated_and_inverted_bases_are_reduced(self):
+        v = FactoredValue.build(1, [(F(-3, 4), -3), (F(4, 3), 1), (F(1, -5), 2)])
+        assert (v.sign, v.factors) == (-1, ((F(4, 3), 4), (F(1, 5), 2)))
+        for base, _ in v.factors:
+            assert base.denominator > 0 and math.gcd(base.numerator, base.denominator) == 1
+
+    def test_zero_to_a_negative_power(self):
+        with pytest.raises(ZeroDivisionError):
+            FactoredValue.build(1, [(F(0), -1)])
+        assert FactoredValue.build(1, [(F(0), 0), (F(2), 1)]).factors == ((F(2), 1),)
+
+    @given(x=st.one_of(factored_values, st.just(FactoredValue(0, ()))),
+           y=st.one_of(factored_values, st.just(FactoredValue(0, ()))))
+    @settings(max_examples=150)
+    def test_times_is_build_of_both(self, x, y):
+        assert x.times(y) == FactoredValue.build(x.sign * y.sign, x.factors + y.factors)
+        assert x.times(x) == FactoredValue.build(x.sign * x.sign, x.factors + x.factors)
+
+    @given(n=st.integers(min_value=-(10**30), max_value=10**30),
+           d=st.integers(min_value=1, max_value=10**30))
+    @settings(max_examples=150)
+    def test_coprime_fraction(self, n, d):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        r = coprime_fraction(n, d)
+        assert r == F(n, d) and hash(r) == hash(F(n, d))
+        assert (r.numerator, r.denominator) == (n, d)
 
 
 class TestCoprimeBasis:
