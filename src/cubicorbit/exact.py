@@ -16,8 +16,8 @@ a pair already known to be reduced without taking its gcd again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DigitBudgetExceeded, DivisionByZero
 
@@ -117,17 +117,41 @@ def pow_rational(base: Fraction, exp: int, digit_budget: int = DEFAULT_DIGIT_BUD
     return base**exp
 
 
-@dataclass(frozen=True)
 class QuadScalar:
-    """p + q*sqrt(D) with p, q, D rational and D not a rational square."""
+    """p + q*sqrt(D) with p, q, D rational and D not a rational square.
 
-    p: Fraction
-    q: Fraction
-    D: Fraction
+    Immutable, with equality, hash and repr by value.  Not a tuple, so it
+    has no tuple ``+`` or ``*``.
+    """
 
-    def __post_init__(self):
-        if rational_sqrt(self.D) is not None:
-            raise ValueError(f"D = {self.D} is a rational square; stay in Q instead")
+    __slots__ = __match_args__ = ("p", "q", "D")
+
+    def __init__(self, p: Fraction, q: Fraction, D: Fraction):
+        if rational_sqrt(D) is not None:
+            raise ValueError(f"D = {D} is a rational square; stay in Q instead")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "D", D)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuadScalar, (self.p, self.q, self.D)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadScalar:
+            return NotImplemented
+        return (self.p, self.q, self.D) == (other.p, other.q, other.D)
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.D))
+
+    def __repr__(self):
+        return f"QuadScalar(p={self.p!r}, q={self.q!r}, D={self.D!r})"
 
     @classmethod
     def of(cls, value, D: Fraction) -> "QuadScalar":
@@ -259,6 +283,7 @@ class CoprimeBasis:
 
     def __init__(self):
         self._elements: set[int] = set()
+        self._added: set[int] = set()
         self._factored: dict[int, dict[int, int]] = {}
 
     @property
@@ -266,9 +291,14 @@ class CoprimeBasis:
         return tuple(sorted(self._elements))
 
     def add(self, m: int) -> None:
-        """Refine the basis so that the positive integer m factors over it."""
-        if m in self._factored:
+        """Refine the basis so that the positive integer m factors over it.
+
+        Refining never stops an integer added before from factoring, so
+        adding one again takes no gcd.
+        """
+        if m in self._added:
             return
+        self._added.add(m)
         pending = [m]
         while pending:
             a = pending.pop()
@@ -313,8 +343,7 @@ class CoprimeBasis:
         return f
 
 
-@dataclass(frozen=True)
-class FactoredValue:
+class FactoredValue(NamedTuple):
     """sign * product of base**exp with positive bases != 1 and exponents > 0."""
 
     sign: int
@@ -327,12 +356,14 @@ class FactoredValue:
 
         Bases merge by their (numerator, denominator) pair and signs are
         read off the ints, so no Fraction is hashed or compared: a
-        Fraction's hash takes a modular inverse of its denominator, and
-        the bases of one tower often share it modulo 2^61 - 1.
+        Fraction's hash takes a modular inverse of its denominator.  The
+        key also holds the numerator's bit length, because the bases of
+        one tower often share their ints' hashes (residues modulo
+        2^61 - 1) and so would share the pair's hash.
         """
         if sign == 0:
             return cls(0, ())
-        acc: dict[tuple[int, int], list] = {}  # (num, den) -> [base or None, exp]
+        acc: dict[tuple[int, int, int], list] = {}  # (num, den, bits) -> [base or None, exp]
         for base, exp in factors:
             exp = int(exp)
             if exp == 0:
@@ -352,12 +383,12 @@ class FactoredValue:
                 num, den, exp, base = den, num, -exp, None
             if num == den:
                 continue
-            acc.setdefault((num, den), [base, 0])[1] += exp
+            acc.setdefault((num, den, num.bit_length()), [base, 0])[1] += exp
         return cls(
             sign,
             tuple(
-                (coprime_fraction(*key) if base is None else base, exp)
-                for key, (base, exp) in acc.items()
+                (coprime_fraction(num, den) if base is None else base, exp)
+                for (num, den, _), (base, exp) in acc.items()
             ),
         )
 

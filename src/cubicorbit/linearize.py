@@ -8,28 +8,25 @@ by this orbit and its ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TrivialSolutionEncountered
 from .matrix import SystemParams, eigenvalues, power
 
 
-@dataclass(frozen=True)
-class InitialPair:
+class InitialPair(NamedTuple):
     x0: Fraction
     y0: Fraction
 
 
-@dataclass(frozen=True)
-class LinearState:
+class LinearState(NamedTuple):
     n: int
     u: Fraction
     v: Fraction
 
 
-@dataclass(frozen=True)
-class RepeatedRatioConstants:
+class RepeatedRatioConstants(NamedTuple):
     """v_n / u_n = (c3 + c4 n) / (c1 + c2 n) in the repeated-eigenvalue case."""
 
     c1: Fraction

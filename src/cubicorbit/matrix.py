@@ -13,9 +13,9 @@ that every sqrt(D) component cancels before converting back to rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CaseMismatch
 from .exact import ONE, ZERO, QuadScalar, rational_sqrt
@@ -28,8 +28,7 @@ class CaseTag(Enum):
     ANTITRACE_DISTINCT = "antitrace-distinct"
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(NamedTuple):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -53,8 +52,7 @@ class SystemParams:
         return (self.a == 0 and self.b == 0) or (self.c == 0 and self.d == 0)
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     a11: Fraction
     a12: Fraction
     a21: Fraction
@@ -87,8 +85,7 @@ class Mat2:
         return self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y
 
 
-@dataclass(frozen=True)
-class Eigenpair:
+class Eigenpair(NamedTuple):
     """Eigenvalues (a+d +/- sqrt(D))/2, rational when D is a perfect square."""
 
     discriminant: Fraction

@@ -18,9 +18,8 @@ so they stay independent of that walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DigitBudgetExceeded,
@@ -44,15 +43,13 @@ from .matrix import CaseTag, SystemParams, classify, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
 
 
-@dataclass(frozen=True)
-class OrbitTerm:
+class OrbitTerm(NamedTuple):
     n: int
     x: FactoredValue
     y: FactoredValue
 
 
-@dataclass(frozen=True)
-class TrivialReport:
+class TrivialReport(NamedTuple):
     """The orbit is eventually trivial: x_m = y_m = 0 for all m > witness."""
 
     witness: int
@@ -224,10 +221,10 @@ def solve(
 def reconstruct_general(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     """Second, case-independent path: x_n = u_n * prod (u_k v_k)^(3^(n-1-k))."""
     states = linear_orbit_seq(p, init, n)
-    for st in states[:n]:
-        if st.u * st.v == 0:
-            raise TrivialSolutionEncountered(st.n)
-    prod = cubic_coeff_solve([st.u * st.v for st in states[:n]], 1, n)
+    coeffs = [st.u * st.v for st in states[:n]]
+    if 0 in coeffs:
+        raise TrivialSolutionEncountered(coeffs.index(0))
+    prod = cubic_coeff_solve(coeffs, 1, n)
     return OrbitTerm(
         n,
         prod.times(FactoredValue.from_rational(states[n].u)),
@@ -288,13 +285,33 @@ def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: 
     return _ratio_equals({q: e for q, e in rho.items() if e}, x, y)
 
 
-@dataclass
 class VerificationReport:
-    case: CaseTag
-    verdict: ZeroSetVerdict
-    depth: int
-    equal_by_n: list[bool] = field(default_factory=list)
-    trivial_zeros_confirmed: Optional[bool] = None
+    """Mutable: ``verify`` fills in ``equal_by_n`` or
+    ``trivial_zeros_confirmed`` as it goes.  Equality and repr are by
+    field value; like any mutable record it is not hashable."""
+
+    def __init__(
+        self,
+        case: CaseTag,
+        verdict: ZeroSetVerdict,
+        depth: int,
+        equal_by_n: Optional[list[bool]] = None,
+        trivial_zeros_confirmed: Optional[bool] = None,
+    ):
+        self.case = case
+        self.verdict = verdict
+        self.depth = depth
+        self.equal_by_n = [] if equal_by_n is None else equal_by_n
+        self.trivial_zeros_confirmed = trivial_zeros_confirmed
+
+    def __eq__(self, other):
+        if other.__class__ is not VerificationReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"VerificationReport({fields})"
 
     @property
     def first_divergence(self) -> Optional[int]:

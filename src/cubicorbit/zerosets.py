@@ -10,10 +10,9 @@ orbit exactly up to a horizon and report UnknownWithinHorizon honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateParameters, TrivialSolutionEncountered
 from .linearize import InitialPair, distinct_orbit_coefficients, repeated_ratio_constants
@@ -28,8 +27,7 @@ class Membership(Enum):
     UNKNOWN_WITHIN_HORIZON = "unknown-within-horizon"
 
 
-@dataclass(frozen=True)
-class ZeroSetVerdict:
+class ZeroSetVerdict(NamedTuple):
     status: Membership
     witness: Optional[int] = None
     horizon: Optional[int] = None

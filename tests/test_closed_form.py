@@ -258,6 +258,21 @@ class TestReconstructGeneral:
         with pytest.raises(TrivialSolutionEncountered):
             reconstruct_general(params(1, 1, 1, 1), init(1, -1), 3)
 
+    def test_raises_at_the_first_zero(self):
+        rng = random.Random(71)
+        seen = set()
+        while len(seen) < 4:
+            p, i = random_params(rng), random_init(rng)
+            k = first_orbit_zero(p, i, 5)
+            if k is None:
+                continue
+            seen.add(k)
+            for n in range(k + 1, 8):
+                with pytest.raises(TrivialSolutionEncountered) as err:
+                    reconstruct_general(p, i, n)
+                assert err.value.witness == k
+            reconstruct_general(p, i, k)  # no zero before k
+
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 # zero half the time, so that b = 0 and c = 0 systems are common

@@ -374,6 +374,22 @@ class TestCoprimeBasis:
         with pytest.raises(ValueError):
             basis.factor(11)
 
+    def test_adding_again_takes_no_gcd(self, monkeypatch):
+        basis = CoprimeBasis()
+        added = (12, 18, 35, 10, 7)
+        for m in added:
+            basis.add(m)
+        calls = []
+        gcd = math.gcd
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        for m in added:
+            basis.add(m)
+        assert calls == []
+        assert basis.elements == (2, 3, 5, 7)
+        assert [basis.factor(m) for m in added] == [
+            {2: 2, 3: 1}, {2: 1, 3: 2}, {5: 1, 7: 1}, {2: 1, 5: 1}, {7: 1}
+        ]
+
     def test_exponent_vector_cancels_across_factors(self):
         basis = CoprimeBasis()
         v = FactoredValue.build(-1, [(F(6, 5), 9), (F(5, 4), 9)])  # -(3/2)^9

@@ -1,5 +1,6 @@
 """The installed package needs only the standard library, and its verdicts
-survive ``python -O``.
+survive ``python -O``.  Importing the CLI loads neither ``dataclasses`` nor
+``inspect``, which every process would otherwise pay for at start-up.
 
 sympy is a test dependency: ``FactoredValue.canonical_key`` uses it, and
 acceptance criterion 2 calls that method.  Nothing in the package calls it.
@@ -97,3 +98,15 @@ def test_verify_under_optimize_flag():
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert plain.stdout.rstrip().endswith("all_equal=True")
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # -S: no site hook may load either module before the import does
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+        "import cubicorbit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = _run(["-c", code], "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
