@@ -73,6 +73,8 @@ def iterate_direct(
     p: SystemParams, init: InitialPair, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> list[OrbitTerm]:
     """Terms 0..n by the literal recurrence; the oracle for everything else."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     terms = [_initial_term(init)]
     x, y = init.x0, init.y0
     for k in range(1, n + 1):
@@ -88,8 +90,8 @@ def iterate_direct(
 
 def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredValue:
     """Solution x_n = x0^(3^n) * prod a_k^(3^(n-k-1)) of x_{k+1} = a_k x_k^3."""
-    if n > len(coeffs):
-        raise ValueError("need at least n coefficients")
+    if not 0 <= n <= len(coeffs):
+        raise ValueError("n must be nonnegative" if n < 0 else "need at least n coefficients")
     if not all(coeffs):
         raise ValueError("coefficients must be nonzero")
     powers = [1]  # powers[j] = 3^j, each from the last by one multiplication
@@ -208,6 +210,8 @@ def solve(
     Returns an OrbitTerm, or a TrivialReport when the initial pair lies in
     the case's zero set; zero_set_member rejects degenerate parameters.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     if verdict.is_member:
@@ -233,39 +237,40 @@ def reconstruct_general(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm
 
 
 def _magnitude(v: FactoredValue) -> Fraction:
-    """|r| for v = FactoredValue.from_rational(r) != 0, without expand."""
+    """|r| for v = FactoredValue.from_rational(r), without expand; a zero
+    term maps to 1, which is also what its empty exponent vector denotes,
+    so the checks below stay exact when a coordinate is zero."""
     return v.factors[0][0] if v.factors else ONE
 
 
-def _equals(vec: dict[int, int], r: Fraction) -> bool:
-    """Whether prod q**e equals r > 0; nothing longer than r is built."""
-    num, den = r.numerator, r.denominator
-    return expand_exponents(vec, num.bit_length(), den.bit_length()) == (num, den)
-
-
-def _ratio_equals(vec: dict[int, int], x: Fraction, y: Fraction) -> bool:
-    """Whether y = x * rho for rho = prod q**e and x, y > 0.
+def _scaled_equals(vec: dict[int, int], x: Fraction, y: Fraction) -> bool:
+    """Whether y = x * rho for rho = prod q**e over a coprime basis and
+    x, y > 0.
 
     With rho = N/D in lowest terms, y = x*rho makes N divide y's numerator
     times x's denominator and D divide x's numerator times y's denominator,
-    which caps how far N and D are expanded.
+    which caps how far N and D are expanded.  Over a coprime basis N/D is
+    already reduced, so it is wrapped without a gcd.
     """
     parts = expand_exponents(
         vec,
         y.numerator.bit_length() + x.denominator.bit_length(),
         x.numerator.bit_length() + y.denominator.bit_length(),
     )
-    return parts is not None and y == x * Fraction(*parts)
+    return parts is not None and y == x * coprime_fraction(*parts)
 
 
 def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: CoprimeBasis) -> bool:
-    """closed == recon == direct at one n, with one expansion of x_n.
+    """closed == recon == direct at one n, by one capped expansion per
+    coordinate.
 
-    Closed and reconstruction compare by exponent vectors over ``basis``,
-    which must cover all four values.  Closed x_n is expanded against the
-    direct x_n, and y_n is checked through rho = y_n / x_n, read off the
-    vector difference.
+    The four closed and reconstruction values are added to ``basis`` and
+    compared by exponent vectors over it.  Then |x_n| = 1 * prod q**vx and
+    |y_n| = |x_n| * rho with rho = prod q**(vy - vx) are checked against
+    the direct term, each by one capped expansion.
     """
+    for value in (closed.x, closed.y, recon.x, recon.y):
+        basis.add_value(value)
     cx, cy = closed.x.exponent_vector(basis), closed.y.exponent_vector(basis)
     if (cx, cy) != (recon.x.exponent_vector(basis), recon.y.exponent_vector(basis)):
         return False
@@ -273,16 +278,8 @@ def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: 
     if (sx, sy) != (direct.x.sign, direct.y.sign):
         return False
     x, y = _magnitude(direct.x), _magnitude(direct.y)
-    if sx and not _equals(vx, x):
-        return False
-    if not sy:
-        return True
-    if not sx:
-        return _equals(vy, y)
-    rho = dict(vy)
-    for q, e in vx.items():
-        rho[q] = rho.get(q, 0) - e
-    return _ratio_equals({q: e for q, e in rho.items() if e}, x, y)
+    rho = {q: vy.get(q, 0) - vx.get(q, 0) for q in vx.keys() | vy.keys()}
+    return _scaled_equals(vx, ONE, x) and _scaled_equals(rho, x, y)
 
 
 class VerificationReport:
@@ -367,7 +364,5 @@ def verify(
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        for value in (closed.x, closed.y, recon.x, recon.y):
-            basis.add_value(value)
         report.equal_by_n.append(_paths_agree(closed, recon, direct[n], basis))
     return report

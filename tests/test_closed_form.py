@@ -16,7 +16,7 @@ from cubicorbit.errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from cubicorbit.exact import FactoredValue, estimated_digits, geometric_exponent, pow_rational, three_pow
+from cubicorbit.exact import CoprimeBasis, FactoredValue, estimated_digits, geometric_exponent, pow_rational, three_pow
 from cubicorbit.linearize import InitialPair, linear_orbit_seq
 from cubicorbit.matrix import CaseTag, SystemParams, classify
 from cubicorbit.solve import (
@@ -583,3 +583,60 @@ class TestVerify:
         monkeypatch.setattr(FactoredValue, "canonical_key", refuse)
         report = verify(p, i, 7, digit_budget=1000)
         assert report.equal_by_n == [True] * 8
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (solve, (params(2, 1, 1, 2), init(1, 2), -1)),
+        (solve, (params(3, 1, -1, 1), init(1, 2), -1)),
+        (solve, (params(3, 1, -1, 1), init(1, 2), -2)),
+        (solve, (params(1, 1, 1, -1), init(1, 1), -1)),
+        (solve_distinct, (params(2, 1, 1, 2), init(1, 2), -1)),
+        (solve_repeated, (params(3, 1, -1, 1), init(1, 2), -1)),
+        (solve_rank_deficient, (params(1, 1, 1, 1), init(1, 1), -1)),
+        (solve_antitrace, (params(1, 1, 1, -1), init(1, 2), -1)),
+        (reconstruct_general, (params(2, 1, 1, 2), init(1, 2), -1)),
+        (cubic_coeff_solve, ([], F(2), -1)),
+        (iterate_direct, (params(2, 1, 1, 2), init(1, 2), -1)),
+        (verify, (params(2, 1, 1, 2), init(1, 2), -1)),
+    ],
+    ids=[
+        "solve-distinct", "solve-repeated", "solve-repeated-n-2", "solve-member",
+        "solve_distinct", "solve_repeated", "solve_rank_deficient", "solve_antitrace",
+        "reconstruct_general", "cubic_coeff_solve", "iterate_direct", "verify",
+    ],
+)
+def test_negative_index_rejected(fn, args):
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        fn(*args)
+
+
+def _orbit_term(x, y):
+    return OrbitTerm(0, FactoredValue.from_rational(F(x)), FactoredValue.from_rational(F(y)))
+
+
+class TestPathsAgreeZeroTerms:
+    @pytest.mark.parametrize("x,y", [(0, F(3, 2)), (F(-2, 3), 0), (0, 0)])
+    def test_zero_in_all_three_paths_agrees(self, x, y):
+        # closed x_n as x * 3^2 * (1/9), factored otherwise than the others
+        closed_x = FactoredValue.build(1, [(F(x), 1), (F(3), 2), (F(1, 9), 1)])
+        closed = OrbitTerm(0, closed_x, FactoredValue.from_rational(F(y)))
+        term = _orbit_term(x, y)
+        assert solve_module._paths_agree(closed, term, term, CoprimeBasis())
+
+    @pytest.mark.parametrize(
+        "closed,recon,direct",
+        [
+            ((0, 5), (0, 5), (7, 5)),
+            ((7, 5), (7, 5), (0, 5)),
+            ((7, 0), (7, 0), (7, 5)),
+            ((7, 5), (7, 5), (7, 0)),
+            ((0, 0), (0, 0), (7, F(-5, 2))),
+            ((0, 5), (7, 5), (0, 5)),
+            ((7, 0), (7, 5), (7, 0)),
+        ],
+    )
+    def test_zero_against_nonzero_disagrees(self, closed, recon, direct):
+        terms = (_orbit_term(*closed), _orbit_term(*recon), _orbit_term(*direct))
+        assert not solve_module._paths_agree(*terms, CoprimeBasis())
