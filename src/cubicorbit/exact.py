@@ -10,7 +10,8 @@ base-3 digit of its exponents, with only the small bases multiplied in.
 Over a ``CoprimeBasis`` a factored value has a unique exponent vector, so
 values compare without expansion.  ``FactoredValue.build`` merges bases by
 their integer (numerator, denominator) pair, and ``coprime_fraction`` wraps
-a pair already known to be reduced without taking its gcd again.
+a pair already known to be reduced in a Fraction by setting its two slots,
+without taking its gcd again or passing through ``Fraction.__new__``.
 """
 
 from __future__ import annotations
@@ -56,22 +57,20 @@ def rational_sqrt(r: Fraction):
     return None
 
 
-if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
-    _coprime_ctor = Fraction._from_coprime_ints
-else:
-
-    def _coprime_ctor(n: int, d: int) -> Fraction:
-        return Fraction(n, d, _normalize=False)
-
-
 def coprime_fraction(n: int, d: int) -> Fraction:
     """The Fraction n/d, built without a gcd.
 
     Precondition: n and d are ints with gcd(n, d) = 1 and d > 0.  Nothing
     checks it; a pair that breaks it gives a Fraction that is not in
-    lowest terms and compares and hashes wrongly.
+    lowest terms and compares and hashes wrongly.  The body is that of
+    ``Fraction._from_coprime_ints`` (Python 3.12+), which sets the two
+    slots directly; 3.10 and 3.11 lack it, and their
+    ``Fraction(n, d, _normalize=False)`` costs several times more.
     """
-    return _coprime_ctor(n, d)
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
 
 
 def three_pow(n: int) -> int:

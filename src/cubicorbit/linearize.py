@@ -42,6 +42,8 @@ def linear_orbit(p: SystemParams, init: InitialPair, n: int) -> LinearState:
 
 def linear_orbit_seq(p: SystemParams, init: InitialPair, n: int) -> list[LinearState]:
     """States 0..n by stepwise recurrence; cheaper than n matrix powers."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     states = [LinearState(0, init.x0, init.y0)]
     u, v = init.x0, init.y0
     for k in range(1, n + 1):

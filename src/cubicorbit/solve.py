@@ -9,10 +9,12 @@ change of variables.  Terms have Theta(3^n) digits when expanded, so every
 solver returns a FactoredValue.
 
 The repeated and distinct solvers build their towers from one integer walk
-of the ratio r_k = v_k / u_k (``_ratio_walk``): each base is reduced by
-gcds against small constants of the matrix, never between two long
-numbers.  The cross-checks keep the Fraction orbit of ``linear_orbit_seq``,
-so they stay independent of that walk.
+of the ratio r_k = v_k / u_k (``_ratio_walk``).  No step multiplies two
+long numbers: the walk carries the squares and the product of its integer
+vector through the symmetric square of the matrix, and each base is
+reduced by gcds against small constants of the matrix.  The cross-checks
+keep the Fraction orbit of ``linear_orbit_seq``, so they stay independent
+of that walk.
 """
 
 from __future__ import annotations
@@ -123,12 +125,23 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
     integer vector (U, V) proportional to (u_k, v_k): (W, Z) = M (U, V)
     is proportional to (u_{k+1}, v_{k+1}), and as det' U and det' V are
     integer combinations of W and Z while gcd(U, V) = 1, gcd(W, Z)
-    divides det' and equals gcd(gcd(W, det'), Z).  The base is
-    V W / (L U^2).  For b != 0, gcd(V W, L U^2) divides L (L b)^2,
-    because gcd(U, V) = 1 and gcd(W, U) = gcd(L b, U); for b = 0 the base
-    is (L a) V / (L U) and its gcd divides L (L a).  So every gcd is taken
-    against a small constant, never between two long numbers, and the
-    reduced pairs become Fractions without a second gcd.
+    divides det' and equals gcd(gcd(W, det'), Z).
+
+    The base is V W / (L U^2).  For b != 0 the walk also carries
+    (A, B, C) = (U^2, U V, V^2), so that V W = (L a) B + (L b) C and
+    L U^2 = L A need no product of two long numbers.  (W^2, W Z, Z^2) is
+    the symmetric square of M applied to (A, B, C), nine small integer
+    coefficients, and dividing (W, Z) by g divides it exactly by g^2;
+    the sign flip of (U, V) leaves it unchanged.  So num and den are the
+    same integers that V W and L U^2 would give, and each step is
+    multiply-adds of a long number by a small one, linear in the size of
+    its output.
+
+    For b != 0, gcd(V W, L U^2) divides L (L b)^2, because gcd(U, V) = 1
+    and gcd(W, U) = gcd(L b, U); for b = 0 the base is (L a) V / (L U)
+    and its gcd divides L (L a).  So every gcd is taken against a small
+    constant, never between two long numbers, and the reduced pairs
+    become Fractions without a second gcd.
     Raises TrivialSolutionEncountered at the first k <= n with u_k = 0
     or v_k = 0.
     """
@@ -137,9 +150,14 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
     al, be, ga, de = (t.numerator * (L // t.denominator) for t in (p.a, p.b, p.c, p.d))
     det = al * de - be * ga
     small = L * be * be if be else L * al
+    # the symmetric square of M: (U^2, U V, V^2) -> (W^2, W Z, Z^2)
+    aa, ab, ac = al * al, 2 * al * be, be * be
+    ba, bb, bc = al * ga, al * de + be * ga, be * de
+    ca, cb, cc = ga * ga, 2 * ga * de, de * de
     U, V = init.x0.numerator * init.y0.denominator, init.y0.numerator * init.x0.denominator
     g = math.gcd(U, V) or 1
     U, V = U // g, V // g
+    A, B, C = U * U, U * V, V * V
     bases = []
     for k in range(n + 1):
         if U == 0 or V == 0:
@@ -149,11 +167,27 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
         if k == n:
             break
         W, Z = al * U + be * V, ga * U + de * V
-        num, den = (V * W, L * (U * U)) if be else (al * V, L * U)
-        g = math.gcd(math.gcd(num, small), den)
-        bases.append(coprime_fraction(num // g, den // g))
-        g = math.gcd(math.gcd(W, det), Z)
-        U, V = W // g, Z // g
+        if be:
+            num, den = al * B + be * C, L * A
+            A, B, C = aa * A + ab * B + ac * C, ba * A + bb * B + bc * C, ca * A + cb * B + cc * C
+        else:
+            num, den = al * V, L * U
+        # gcd(1, x) and x // 1 still take a pass over a long x, so the
+        # second gcd and the divisions run only while g != 1
+        g = math.gcd(num, small)
+        if g != 1:
+            g = math.gcd(g, den)
+        if g != 1:
+            num, den = num // g, den // g
+        bases.append(coprime_fraction(num, den))
+        g = math.gcd(W, det)
+        if g != 1:
+            g = math.gcd(g, Z)
+        if g != 1:
+            W, Z = W // g, Z // g
+            if be:
+                A, B, C = A // (g * g), B // (g * g), C // (g * g)
+        U, V = W, Z
     return bases, coprime_fraction(V, U)
 
 

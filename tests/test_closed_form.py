@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from cubicorbit.errors import (
@@ -16,7 +16,15 @@ from cubicorbit.errors import (
     TrivialSolutionEncountered,
     UnknownWithinHorizon,
 )
-from cubicorbit.exact import CoprimeBasis, FactoredValue, estimated_digits, geometric_exponent, pow_rational, three_pow
+from cubicorbit.exact import (
+    CoprimeBasis,
+    FactoredValue,
+    estimated_digits,
+    geometric_exponent,
+    pow_rational,
+    rational_sqrt,
+    three_pow,
+)
 from cubicorbit.linearize import InitialPair, linear_orbit_seq
 from cubicorbit.matrix import CaseTag, SystemParams, classify
 from cubicorbit.solve import (
@@ -290,9 +298,18 @@ def repeated_systems(draw):
 
 @st.composite
 def distinct_systems(draw):
-    p = SystemParams(draw(entries), draw(entries), draw(entries), draw(entries))
-    assume(classify(p) is CaseTag.DISTINCT)
-    return p
+    """Entries drawn like the initial pair's, then d moved by 0..4 to the
+    first value that is distinct.  For a != 0 or b c != 0, at most four
+    values of d leave the case: one with det = 0, one with trace = 0 and
+    the two roots of (a - d)^2 + 4 b c = 0.  With a = 0 and b c = 0 the
+    system is singular for every d, so a is drawn nonzero then.  b and c
+    are kept, so b = 0 and c = 0 systems stay common, and the
+    discriminant is a square or not."""
+    a, b, c, d = draw(entries), draw(entries), draw(entries), draw(entries)
+    if a == 0 and b * c == 0:
+        a = draw(rationals.filter(bool))
+    candidates = (SystemParams(a, b, c, d + shift) for shift in range(5))
+    return next(p for p in candidates if classify(p) is CaseTag.DISTINCT)
 
 
 class TestRatioWalk:
@@ -324,7 +341,21 @@ class TestRatioWalk:
     @given(p=distinct_systems(), x0=entries, y0=entries, n=st.integers(0, 40))
     @settings(max_examples=150, deadline=None)
     def test_distinct(self, p, x0, y0, n):
+        assert classify(p) is CaseTag.DISTINCT
         self.check(p, InitialPair(x0, y0), n)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda p: p.b == 0,
+            lambda p: p.c == 0,
+            lambda p: rational_sqrt(p.discriminant) is not None,
+            lambda p: rational_sqrt(p.discriminant) is None,
+        ],
+        ids=["b-zero", "c-zero", "rational-eigenvalues", "irrational-eigenvalues"],
+    )
+    def test_distinct_systems_reach(self, shape):
+        assert shape(find(distinct_systems(), shape))
 
     @given(
         l1=rationals.filter(bool),
@@ -355,6 +386,54 @@ class TestRatioWalk:
         with pytest.raises(TrivialSolutionEncountered) as err:
             solve_distinct(p, i, n)
         assert err.value.witness == first
+
+
+def product_formula_walk(p, i, n):
+    """The reference for _ratio_walk: the bases V W / (L U^2) as products
+    of the primitive integer vector (U, V), the ratio V / U, each reduced
+    by Fraction's own gcd, and the gcd(W, Z) of each step."""
+    L = math.lcm(*(t.denominator for t in p))
+    al, be, ga, de = (int(t * L) for t in p)
+    U, V = i.x0.numerator * i.y0.denominator, i.y0.numerator * i.x0.denominator
+    g = math.gcd(U, V)
+    U, V = U // g, V // g
+    bases, gcds = [], []
+    for _ in range(n):
+        W, Z = al * U + be * V, ga * U + de * V
+        bases.append(F(V * W, L * U * U))
+        g = math.gcd(W, Z)
+        gcds.append(g)
+        U, V = W // g, Z // g
+    return bases, F(V, U), gcds
+
+
+class TestDeepRatioWalk:
+    """_ratio_walk at n in the hundreds against the product formula.  The
+    distinct walks' integers run to hundreds or thousands of bits; the
+    repeated one keeps them short but divides by gcd(W, Z) > 1 at every
+    step."""
+
+    @pytest.mark.parametrize(
+        "coeffs,seed,case",
+        [
+            ((F(1, 2), F(3, 4), F(-1, 3), 2), (F(2, 3), 5), CaseTag.DISTINCT),
+            ((3, 0, F(-5, 2), F(-1, 3)), (-2, F(7, 3)), CaseTag.DISTINCT),
+            ((-3, 5, 2, -1), (1, -4), CaseTag.DISTINCT),  # discriminant 44
+            ((1, -3, 2, 5), (4, -1), CaseTag.DISTINCT),  # discriminant -8
+            ((2, 2, -2, 6), (-5, F(2, 7)), CaseTag.REPEATED),  # M = 2 M'
+        ],
+        ids=["rational-entries", "b-zero", "negative-entries", "irrational", "repeated-even"],
+    )
+    @pytest.mark.parametrize("n", [250, 400])
+    def test_matches_product_formula(self, coeffs, seed, case, n):
+        p, i = params(*coeffs), init(*seed)
+        assert classify(p) is case
+        bases, ratio_n, gcds = product_formula_walk(p, i, n)
+        if case is CaseTag.REPEATED:
+            assert min(gcds) > 1  # every step divides by g^2
+        else:
+            assert bases[-1].denominator.bit_length() > n  # the long regime
+        assert solve_module._ratio_walk(p, i, n) == (bases, ratio_n)
 
 
 class TestDeepFactoredOutput:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 # Imported here, not first inside canonical_key: the lazy import takes about
 # 0.4 s, past the hypothesis deadline of the first example that reaches it
@@ -322,15 +322,28 @@ class TestBuildMerge:
         assert x.times(y) == FactoredValue.build(x.sign * y.sign, x.factors + y.factors)
         assert x.times(x) == FactoredValue.build(x.sign * x.sign, x.factors + x.factors)
 
-    @given(n=st.integers(min_value=-(10**30), max_value=10**30),
-           d=st.integers(min_value=1, max_value=10**30))
+    @given(n=st.one_of(st.integers(min_value=-(10**30), max_value=10**30),
+                       st.integers(min_value=-(10**400), max_value=10**400)),
+           d=st.one_of(st.integers(min_value=1, max_value=10**30),
+                       st.integers(min_value=1, max_value=10**400)))
+    @example(n=0, d=1)
+    @example(n=-1, d=1)
+    @example(n=-(2**521 - 1), d=3**300)
+    @example(n=7**400, d=2)
     @settings(max_examples=150)
     def test_coprime_fraction(self, n, d):
         g = math.gcd(n, d)
         n, d = n // g, d // g
         r = coprime_fraction(n, d)
+        assert type(r) is F
         assert r == F(n, d) and hash(r) == hash(F(n, d))
         assert (r.numerator, r.denominator) == (n, d)
+        assert r + 1 == F(n, d) + 1 and str(r) == str(F(n, d))
+
+    def test_fraction_slots(self):
+        # coprime_fraction sets these two slots; a layout without them
+        # would leave it building Fractions that read as something else
+        assert {"_numerator", "_denominator"} <= set(F.__slots__)
 
 
 class TestCoprimeBasis:

@@ -63,6 +63,14 @@ class TestLinearOrbit:
                 st = linear_orbit(p, i, n)
                 assert (st.u, st.v) == (states[n].u, states[n].v)
 
+    def test_seq_n_zero_is_the_seed(self):
+        assert linear_orbit_seq(params(2, 1, 1, 2), init(1, 2), 0) == [(0, F(1), F(2))]
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_seq_rejects_negative_n(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            linear_orbit_seq(params(2, 1, 1, 2), init(1, 2), n)
+
 
 class TestRatio:
     def test_one_step(self):
