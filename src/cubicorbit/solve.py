@@ -15,6 +15,14 @@ vector through the symmetric square of the matrix, and each base is
 reduced by gcds against small constants of the matrix.  The cross-checks
 keep the Fraction orbit of ``linear_orbit_seq``, so they stay independent
 of that walk.
+
+``verify`` checks term n >= 1 through its last step of the literal
+recurrence, (x_n, y_n) = x_{n-1} y_{n-1} (a x_{n-1} + b y_{n-1},
+c x_{n-1} + d y_{n-1}), the identity that makes the system linear in
+(u_n, v_n).  Once term n - 1 has agreed on all three paths, only the two
+linear factors are compared, so no expansion grows past them and the last
+direct term is never multiplied out.  ``_step`` holds the recurrence and
+its digit budget for both ``verify`` and ``iterate_direct``.
 """
 
 from __future__ import annotations
@@ -80,14 +88,26 @@ def iterate_direct(
     terms = [_initial_term(init)]
     x, y = init.x0, init.y0
     for k in range(1, n + 1):
-        # each step roughly cubes the digit count
-        digits = max(estimated_digits(x, 3), estimated_digits(y, 3))
-        if digits > digit_budget:
-            raise DigitBudgetExceeded(digits, digit_budget)
-        xy = x * y
-        x, y = xy * (p.a * x + p.b * y), xy * (p.c * x + p.d * y)
+        x, y = _next_term(x, y, *_step(p, x, y, digit_budget))
         terms.append(_term_from_rationals(k, x, y))
     return terms
+
+
+def _step(p: SystemParams, x: Fraction, y: Fraction, digit_budget: int) -> tuple[Fraction, Fraction]:
+    """The linear factors (a x + b y, c x + d y) of the term after (x, y):
+    the literal recurrence gives it as x y times each.  Refuses a step
+    whose term could pass ``digit_budget`` digits."""
+    # each step roughly cubes the digit count
+    digits = max(estimated_digits(x, 3), estimated_digits(y, 3))
+    if digits > digit_budget:
+        raise DigitBudgetExceeded(digits, digit_budget)
+    return p.a * x + p.b * y, p.c * x + p.d * y
+
+
+def _next_term(x: Fraction, y: Fraction, lx: Fraction, ly: Fraction) -> tuple[Fraction, Fraction]:
+    """The term after (x, y), given its linear factors from ``_step``."""
+    xy = x * y
+    return xy * lx, xy * ly
 
 
 def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredValue:
@@ -294,14 +314,27 @@ def _scaled_equals(vec: dict[int, int], x: Fraction, y: Fraction) -> bool:
     return parts is not None and y == x * coprime_fraction(*parts)
 
 
-def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: CoprimeBasis) -> bool:
-    """closed == recon == direct at one n, by one capped expansion per
-    coordinate.
+def _paths_agree(
+    closed: OrbitTerm,
+    recon: OrbitTerm,
+    direct: OrbitTerm,
+    basis: CoprimeBasis,
+    scale: tuple[FactoredValue, ...] = (),
+) -> bool:
+    """closed == recon == s * direct at one n, by one capped expansion per
+    coordinate, for s the product of the values in ``scale``.
 
-    The four closed and reconstruction values are added to ``basis`` and
-    compared by exponent vectors over it.  Then |x_n| = 1 * prod q**vx and
-    |y_n| = |x_n| * rho with rho = prod q**(vy - vx) are checked against
-    the direct term, each by one capped expansion.
+    With no scale (s = 1) this is the full check: the four closed and
+    reconstruction values are added to ``basis`` and compared by exponent
+    vectors (vx, vy) over it, then |x_n| = prod q**vx and |y_n| = |x_n| *
+    rho, rho = prod q**(vy - vx), against direct's values; a zero
+    coordinate needs no separate branch.  ``verify`` passes the closed
+    x_{n-1} and y_{n-1} as the scale and the linear factors of the last
+    step as direct: then the signs must be those of s times direct's,
+    prod q**(vx - w) = |direct.x| and |direct.x| rho = |direct.y|, for w
+    the vector of |s|.  w is read over the refined basis, as vectors read
+    before a refinement are stale, and all values must be nonzero.
+    Neither expansion grows past the size of direct's values.
     """
     for value in (closed.x, closed.y, recon.x, recon.y):
         basis.add_value(value)
@@ -309,11 +342,20 @@ def _paths_agree(closed: OrbitTerm, recon: OrbitTerm, direct: OrbitTerm, basis: 
     if (cx, cy) != (recon.x.exponent_vector(basis), recon.y.exponent_vector(basis)):
         return False
     (sx, vx), (sy, vy) = cx, cy
-    if (sx, sy) != (direct.x.sign, direct.y.sign):
+    s, w = 1, {}
+    for value in scale:
+        sv, vv = value.exponent_vector(basis)
+        s *= sv
+        w = _vector_sum(w, vv)
+    if (sx, sy) != (s * direct.x.sign, s * direct.y.sign):
         return False
     x, y = _magnitude(direct.x), _magnitude(direct.y)
-    rho = {q: vy.get(q, 0) - vx.get(q, 0) for q in vx.keys() | vy.keys()}
-    return _scaled_equals(vx, ONE, x) and _scaled_equals(rho, x, y)
+    return _scaled_equals(_vector_sum(vx, w, -1), ONE, x) and _scaled_equals(_vector_sum(vy, vx, -1), x, y)
+
+
+def _vector_sum(u: dict[int, int], v: dict[int, int], k: int = 1) -> dict[int, int]:
+    """The exponent vector u + k v."""
+    return {q: u.get(q, 0) + k * v.get(q, 0) for q in u.keys() | v.keys()}
 
 
 class VerificationReport:
@@ -381,22 +423,55 @@ def verify(
     horizon: int = DEFAULT_HORIZON,
 ) -> VerificationReport:
     """Run the case solver, the general reconstruction and direct iteration
-    side by side and report exact agreement term by term."""
+    side by side and report exact agreement term by term.
+
+    Term n >= 1 is checked through its last step of the literal recurrence,
+    (x_n, y_n) = P (lx, ly) with P = x_{n-1} y_{n-1}, lx = a x_{n-1} +
+    b y_{n-1} and ly = c x_{n-1} + d y_{n-1}.  When term n - 1 agreed on
+    all three paths and P lx ly != 0, term n agrees exactly when the closed
+    form and the reconstruction have the same exponent vectors (vx, vy),
+    their signs are sign(P) sign(lx) and sign(P) sign(ly), prod
+    q**(vx - vx_{n-1} - vy_{n-1}) = |lx|, and |lx| prod q**(vy - vx) =
+    |ly|, with term n - 1's vectors read over the current basis.  So no
+    expansion grows past the linear factors, about a third of x_n's
+    digits, and the last term is never multiplied out.  Term 0, a term
+    after a disagreement and a zero among P, lx and ly take the full check
+    against (x_n, y_n) instead.
+    """
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     report = VerificationReport(case=tag, verdict=verdict, depth=depth)
-    direct = iterate_direct(p, init, depth, digit_budget)
     if verdict.is_member:
+        direct = iterate_direct(p, init, depth, digit_budget)
         confirmed = all(
             direct[m].x.sign == 0 and direct[m].y.sign == 0
             for m in range(verdict.witness + 1, depth + 1)
         )
         report.trivial_zeros_confirmed = confirmed
         return report
+    if depth < 0:
+        raise ValueError("n must be nonnegative")
+    # factors[n] are term n's linear factors.  Terms below depth are
+    # multiplied out to carry the walk on; term depth only on demand.  The
+    # walk runs before any solver, so it refuses as iterate_direct does.
+    terms, factors = [(init.x0, init.y0)], [None]
+    for n in range(1, depth + 1):
+        factors.append(_step(p, *terms[-1], digit_budget))
+        if n < depth:
+            terms.append(_next_term(*terms[-1], *factors[n]))
     solver = _CASE_SOLVERS[tag]
     basis = CoprimeBasis()
+    prev = None  # the closed term n - 1 once it agreed on all three paths
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        report.equal_by_n.append(_paths_agree(closed, recon, direct[n], basis))
+        if prev is not None and all(terms[n - 1]) and all(factors[n]):
+            # prev.x prev.y is P
+            lx, ly = factors[n]
+            ok = _paths_agree(closed, recon, _term_from_rationals(n, lx, ly), basis, (prev.x, prev.y))
+        else:
+            x, y = terms[n] if n < len(terms) else _next_term(*terms[n - 1], *factors[n])
+            ok = _paths_agree(closed, recon, _term_from_rationals(n, x, y), basis)
+        report.equal_by_n.append(ok)
+        prev = closed if ok else None
     return report

@@ -40,6 +40,7 @@ from cubicorbit.solve import (
     solve_repeated,
     verify,
 )
+from cubicorbit.zerosets import zero_set_member
 
 from helpers import direct_orbit, first_orbit_zero, random_init, random_params
 
@@ -662,6 +663,179 @@ class TestVerify:
         monkeypatch.setattr(FactoredValue, "canonical_key", refuse)
         report = verify(p, i, 7, digit_budget=1000)
         assert report.equal_by_n == [True] * 8
+
+
+def _inject(mp, p, n, coordinates, paths, factor):
+    """Multiply the coordinates ("x", "y" or "xy") of term n by ``factor`` in
+    the case solver, the reconstruction or both, through verify's hooks."""
+    tag = classify(p)
+
+    def tamper(solver):
+        def patched(p, i, m):
+            term = solver(p, i, m)
+            if m != n:
+                return term
+            x = term.x.times(factor) if "x" in coordinates else term.x
+            y = term.y.times(factor) if "y" in coordinates else term.y
+            return OrbitTerm(m, x, y)
+        return patched
+
+    if paths in ("closed", "both"):
+        mp.setitem(solve_module._CASE_SOLVERS, tag, tamper(solve_module._CASE_SOLVERS[tag]))
+    if paths in ("recon", "both"):
+        mp.setattr(solve_module, "reconstruct_general", tamper(solve_module.reconstruct_general))
+
+
+def _direct_hooks(mp, p):
+    """Both of verify's hooks answer with the directly iterated term, so
+    that the orbit's zeros past the horizon reach the comparison."""
+
+    def direct(p, i, n):
+        return iterate_direct(p, i, n)[n]
+
+    mp.setitem(solve_module._CASE_SOLVERS, classify(p), direct)
+    mp.setattr(solve_module, "reconstruct_general", direct)
+
+
+def _full_check_equal_by_n(p, i, depth, digit_budget, horizon):
+    """verify's equal_by_n by its definition: each n by the four-argument
+    _paths_agree against iterate_direct, over one shared basis."""
+    verdict = zero_set_member(p, i, horizon)
+    direct = iterate_direct(p, i, depth, digit_budget)
+    if verdict.is_member:
+        return []
+    solver, basis = solve_module._CASE_SOLVERS[classify(p)], CoprimeBasis()
+    return [
+        solve_module._paths_agree(solver(p, i, n), solve_module.reconstruct_general(p, i, n), direct[n], basis)
+        for n in range(depth + 1)
+    ]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as err:
+        return type(err), getattr(err, "estimated_digits", None)
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    a, b = draw(entries), draw(entries)
+    assume(a != 0 or b != 0)
+    t = draw(rationals.filter(bool))
+    return SystemParams(a, b, t * a, t * b)
+
+
+@st.composite
+def antitrace_systems(draw):
+    a, b, c = draw(entries), draw(entries), draw(entries)
+    assume(a * a + b * c != 0)  # the determinant, up to sign
+    return SystemParams(a, b, c, -a)
+
+
+@st.composite
+def verify_inputs(draw):
+    """A system of any case and a nonzero seed, or for a quarter of the
+    invertible systems the seed A^-m e, whose u_m or v_m is zero: past the
+    horizons drawn below for m > 3, and in the irrational distinct case
+    the zero-set decision only scans up to the horizon."""
+    p = draw(st.one_of(rank_deficient_systems(), repeated_systems(), distinct_systems(), antitrace_systems()))
+    x0, y0 = draw(rationals.filter(bool)), draw(rationals.filter(bool))
+    if p.det != 0 and draw(st.integers(0, 3)) == 0:
+        x0, y0 = draw(st.sampled_from([(F(0), F(1)), (F(1), F(0))]))
+        for _ in range(draw(st.integers(1, 6))):
+            x0, y0 = (p.d * x0 - p.b * y0) / p.det, (p.a * y0 - p.c * x0) / p.det
+    return p, InitialPair(x0, y0)
+
+
+faults = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(0, 8),
+        st.sampled_from(["x", "y", "xy"]),
+        st.sampled_from(["closed", "recon", "both"]),
+        st.builds(
+            lambda base, exp: FactoredValue.build(1, [(base, exp)]),
+            st.sampled_from([F(-1), F(3, 2), F(2), F(1, 7)]),
+            st.sampled_from([1, 2, 3**12]),
+        ),
+    ),
+)
+
+
+class TestVerifyLastStep:
+    """verify checks term n >= 1 through its last step of the recurrence
+    and never multiplies out the last direct term."""
+
+    @staticmethod
+    def tampered(monkeypatch, depth, n, coordinate, base, exp):
+        p, i = params(2, 1, 1, 2), init(1, 2)
+        _inject(monkeypatch, p, n, coordinate, "both", FactoredValue.build(1, [(base, exp)]))
+        start = time.perf_counter()
+        report = verify(p, i, depth)
+        assert time.perf_counter() - start < 5
+        return report.equal_by_n
+
+    @pytest.mark.parametrize("depth", [3, 6])
+    @pytest.mark.parametrize("coordinate", ["x", "y", "xy"])
+    @pytest.mark.parametrize(
+        "base,exp", [(F(2), 3**20), (F(3, 2), 1), (F(-1), 1)], ids=["huge", "small", "sign"]
+    )
+    def test_factor_in_both_paths_at_last_index(self, monkeypatch, depth, coordinate, base, exp):
+        equal_by_n = self.tampered(monkeypatch, depth, depth, coordinate, base, exp)
+        assert equal_by_n == [m != depth for m in range(depth + 1)]
+
+    @pytest.mark.parametrize("depth", [3, 6])
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    @pytest.mark.parametrize(
+        "base,exp", [(F(2), 3**20), (F(3, 2), 1), (F(-1), 1)], ids=["huge", "small", "sign"]
+    )
+    def test_last_index_after_a_fault_takes_the_full_check(self, monkeypatch, depth, coordinate, base, exp):
+        equal_by_n = self.tampered(monkeypatch, depth, depth - 1, coordinate, base, exp)
+        assert equal_by_n == [m != depth - 1 for m in range(depth + 1)]
+
+    def test_zero_past_the_horizon_takes_the_full_check(self, monkeypatch):
+        # irrational eigenvalues and the seed A^-2 (0, 1): u_2 = 0, so x_2 = 0
+        # by a zero linear factor and every later x_n y_n = 0
+        p, i = params(1, 1, 1, 2), init(-3, 2)
+        assert direct_orbit(p, i, 2)[0][2] == 0
+        _direct_hooks(monkeypatch, p)
+        assert verify(p, i, 5, horizon=0).equal_by_n == [True] * 6
+
+    def test_no_expansion_near_the_size_of_the_last_term(self, monkeypatch):
+        # x_8 has 8,652 bits; its linear factor and y_8 / x_8 about a third
+        p, i = params(2, 1, 1, 2), init(1, 2)
+        caps = []
+        original = solve_module.expand_exponents
+
+        def record(vec, num_bits, den_bits):
+            caps.append(max(num_bits, den_bits))
+            return original(vec, num_bits, den_bits)
+
+        monkeypatch.setattr(solve_module, "expand_exponents", record)
+        assert verify(p, i, 8).equal_by_n == [True] * 9
+        x8 = direct_orbit(p, i, 8)[0][8]
+        assert caps and max(caps) < x8.numerator.bit_length() // 2
+
+    @given(
+        inputs=verify_inputs(),
+        depth=st.integers(0, 8),
+        horizon=st.integers(0, 3),
+        digit_budget=st.sampled_from([1000, 3000]),
+        direct_hooks=st.booleans(),
+        fault=faults,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_by_n_is_that_of_the_full_check(self, inputs, depth, horizon, digit_budget, direct_hooks, fault):
+        p, i = inputs
+        with pytest.MonkeyPatch.context() as mp:
+            if direct_hooks:
+                _direct_hooks(mp, p)
+            if fault is not None:
+                _inject(mp, p, *fault)
+            got = _outcome(lambda: verify(p, i, depth, digit_budget, horizon).equal_by_n)
+            want = _outcome(lambda: _full_check_equal_by_n(p, i, depth, digit_budget, horizon))
+        assert got == want
 
 
 @pytest.mark.parametrize(
