@@ -97,7 +97,12 @@ def antitrace_exponents(n: int) -> tuple[int, int]:
 
 def estimated_digits(base: Fraction, exp: int) -> int:
     """Upper estimate of the decimal digits needed to expand base**exp."""
-    bits = max(abs(base.numerator).bit_length(), base.denominator.bit_length())
+    return bits_digits(max(abs(base.numerator).bit_length(), base.denominator.bit_length()), exp)
+
+
+def bits_digits(bits: int, exp: int) -> int:
+    """``estimated_digits`` of a base whose numerator and denominator have
+    at most ``bits`` bits; it never falls as ``bits`` grows."""
     # ceil(bits * log10(2)) per power, conservatively rounded up
     return (exp * bits * 30103) // 100000 + 1
 

@@ -16,13 +16,15 @@ reduced by gcds against small constants of the matrix.  The cross-checks
 keep the Fraction orbit of ``linear_orbit_seq``, so they stay independent
 of that walk.
 
-``verify`` checks term n >= 1 through its last step of the literal
-recurrence, (x_n, y_n) = x_{n-1} y_{n-1} (a x_{n-1} + b y_{n-1},
-c x_{n-1} + d y_{n-1}), the identity that makes the system linear in
-(u_n, v_n).  Once term n - 1 has agreed on all three paths, only the two
-linear factors are compared, so no expansion grows past them and the last
-direct term is never multiplied out.  ``_step`` holds the recurrence and
-its digit budget for both ``verify`` and ``iterate_direct``.
+``verify`` checks term n >= 2 through its last two steps of the literal
+recurrence.  With P_k = x_k y_k and (lx_k, ly_k) = A (x_{k-1}, y_{k-1}),
+step k gives (x_k, y_k) = P_{k-1} (lx_k, ly_k), and two steps give
+(x_n, y_n) = P_{n-1} P_{n-2} A (lx_{n-1}, ly_{n-1}), the identity that makes
+the system linear in (u_n, v_n).  Once terms n - 1 and n - 2 have agreed on
+all three paths, only A (lx_{n-1}, ly_{n-1}) is compared, so no expansion
+grows past about a ninth of x_n's digits, and the direct walk stops at
+x_{N-2}.  ``_step`` holds the recurrence and its digit budget for both
+``verify`` and ``iterate_direct``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from .exact import (
     CoprimeBasis,
     FactoredValue,
     antitrace_exponents,
+    bits_digits,
     coprime_fraction,
-    estimated_digits,
     expand_exponents,
     geometric_exponent,
     three_pow,
@@ -94,13 +96,33 @@ def iterate_direct(
 
 
 def _step(p: SystemParams, x: Fraction, y: Fraction, digit_budget: int) -> tuple[Fraction, Fraction]:
-    """The linear factors (a x + b y, c x + d y) of the term after (x, y):
-    the literal recurrence gives it as x y times each.  Refuses a step
-    whose term could pass ``digit_budget`` digits."""
-    # each step roughly cubes the digit count
-    digits = max(estimated_digits(x, 3), estimated_digits(y, 3))
+    """The linear factors A (x, y) of the term after (x, y): the literal
+    recurrence gives it as x y times each.  Refuses a step whose term
+    could pass ``digit_budget`` digits."""
+    digits = _step_digits((x,), (y,))
     if digits > digit_budget:
         raise DigitBudgetExceeded(digits, digit_budget)
+    return _matrix_times(p, x, y)
+
+
+def _step_digits(*coordinates: tuple[Fraction, ...]) -> int:
+    """The digit estimate of the step after a term whose coordinates are
+    the products of the given factors: that of ``_step`` for one factor
+    each, and no less than it for several, as a product's numerator and
+    denominator have at most the sum of its factors' bits."""
+    bits = 0
+    for factors in coordinates:
+        num = den = 0
+        for f in factors:
+            num += abs(f.numerator).bit_length()
+            den += f.denominator.bit_length()
+        bits = max(bits, num, den)
+    # each step roughly cubes the digit count
+    return bits_digits(bits, 3)
+
+
+def _matrix_times(p: SystemParams, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+    """A (x, y) = (a x + b y, c x + d y)."""
     return p.a * x + p.b * y, p.c * x + p.d * y
 
 
@@ -329,8 +351,8 @@ def _paths_agree(
     vectors (vx, vy) over it, then |x_n| = prod q**vx and |y_n| = |x_n| *
     rho, rho = prod q**(vy - vx), against direct's values; a zero
     coordinate needs no separate branch.  ``verify`` passes the closed
-    x_{n-1} and y_{n-1} as the scale and the linear factors of the last
-    step as direct: then the signs must be those of s times direct's,
+    terms n - 1 and n - 2 as the scale and A (lx_{n-1}, ly_{n-1}) as
+    direct: then the signs must be those of s times direct's,
     prod q**(vx - w) = |direct.x| and |direct.x| rho = |direct.y|, for w
     the vector of |s|.  w is read over the refined basis, as vectors read
     before a refinement are stale, and all values must be nonzero.
@@ -425,18 +447,20 @@ def verify(
     """Run the case solver, the general reconstruction and direct iteration
     side by side and report exact agreement term by term.
 
-    Term n >= 1 is checked through its last step of the literal recurrence,
-    (x_n, y_n) = P (lx, ly) with P = x_{n-1} y_{n-1}, lx = a x_{n-1} +
-    b y_{n-1} and ly = c x_{n-1} + d y_{n-1}.  When term n - 1 agreed on
-    all three paths and P lx ly != 0, term n agrees exactly when the closed
-    form and the reconstruction have the same exponent vectors (vx, vy),
-    their signs are sign(P) sign(lx) and sign(P) sign(ly), prod
-    q**(vx - vx_{n-1} - vy_{n-1}) = |lx|, and |lx| prod q**(vy - vx) =
-    |ly|, with term n - 1's vectors read over the current basis.  So no
-    expansion grows past the linear factors, about a third of x_n's
-    digits, and the last term is never multiplied out.  Term 0, a term
-    after a disagreement and a zero among P, lx and ly take the full check
-    against (x_n, y_n) instead.
+    Term n >= 2 is checked through its last two steps of the literal
+    recurrence, (x_n, y_n) = P_{n-1} P_{n-2} (mx, my) with P_k = x_k y_k,
+    (mx, my) = A (lx, ly) and (lx, ly) = A (x_{n-2}, y_{n-2}), the linear
+    factors of step n - 1.  When terms n - 1 and n - 2 agreed on all three
+    paths and P_{n-2}, lx ly, mx and my are nonzero, term n agrees exactly
+    when the closed form and the reconstruction have the same exponent
+    vectors (vx, vy), their signs are those of P_{n-1} P_{n-2} mx and
+    P_{n-1} P_{n-2} my, prod q**(vx - w) = |mx| for w the vector of
+    |P_{n-1} P_{n-2}| read off the closed terms n - 1 and n - 2, and
+    |mx| prod q**(vy - vx) = |my|.  So no expansion grows past (mx, my),
+    about a ninth of x_n's digits, and the direct walk multiplies out
+    terms only up to x_{N-2}.  Term 0, term 1, a term after a disagreement
+    at n - 1 or n - 2 and a step with a zero take the full check against
+    (x_n, y_n), formed on demand, instead.
     """
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
@@ -451,27 +475,48 @@ def verify(
         return report
     if depth < 0:
         raise ValueError("n must be nonnegative")
-    # factors[n] are term n's linear factors.  Terms below depth are
-    # multiplied out to carry the walk on; term depth only on demand.  The
-    # walk runs before any solver, so it refuses as iterate_direct does.
+    # terms[n] = (x_n, y_n) and factors[n] = (lx_n, ly_n), the linear
+    # factors of step n.  The walk multiplies out terms up to depth - 2 and
+    # factors up to depth - 1; it runs before any solver, so steps up to
+    # depth - 1 refuse as iterate_direct does.  Step depth's budget is
+    # certified from bit lengths, and only when that bound fails are
+    # x_{depth-1} and y_{depth-1} formed for ``_step`` to decide exactly.
     terms, factors = [(init.x0, init.y0)], [None]
     for n in range(1, depth + 1):
+        if n == depth and n >= 2:
+            (x, y), (lx, ly) = terms[-1], factors[-1]
+            if _step_digits((x, y, lx), (x, y, ly)) <= digit_budget:
+                break
+            terms.append(_next_term(x, y, lx, ly))
         factors.append(_step(p, *terms[-1], digit_budget))
-        if n < depth:
-            terms.append(_next_term(*terms[-1], *factors[n]))
+        if n < depth - 1:
+            terms.append(_next_term(*terms[-1], *factors[-1]))
+
+    def direct(n: int) -> tuple[Fraction, Fraction]:
+        """(x_n, y_n), multiplied out on demand past the walk."""
+        while len(terms) <= n:
+            if len(factors) == len(terms):
+                factors.append(_matrix_times(p, *terms[-1]))
+            terms.append(_next_term(*terms[-1], *factors[len(terms)]))
+        return terms[n]
+
     solver = _CASE_SOLVERS[tag]
     basis = CoprimeBasis()
-    prev = None  # the closed term n - 1 once it agreed on all three paths
+    prev2 = prev = None  # the closed terms n - 2 and n - 1 once they agreed on all three paths
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        if prev is not None and all(terms[n - 1]) and all(factors[n]):
-            # prev.x prev.y is P
-            lx, ly = factors[n]
-            ok = _paths_agree(closed, recon, _term_from_rationals(n, lx, ly), basis, (prev.x, prev.y))
+        if (
+            prev2 is not None
+            and prev is not None
+            and all(terms[n - 2])
+            and all(factors[n - 1])
+            and all(m := _matrix_times(p, *factors[n - 1]))
+        ):
+            scale = (prev.x, prev.y, prev2.x, prev2.y)  # P_{n-1} P_{n-2}
+            ok = _paths_agree(closed, recon, _term_from_rationals(n, *m), basis, scale)
         else:
-            x, y = terms[n] if n < len(terms) else _next_term(*terms[n - 1], *factors[n])
-            ok = _paths_agree(closed, recon, _term_from_rationals(n, x, y), basis)
+            ok = _paths_agree(closed, recon, _term_from_rationals(n, *direct(n)), basis)
         report.equal_by_n.append(ok)
-        prev = closed if ok else None
+        prev2, prev = prev, (closed if ok else None)
     return report

@@ -764,8 +764,8 @@ faults = st.one_of(
 
 
 class TestVerifyLastStep:
-    """verify checks term n >= 1 through its last step of the recurrence
-    and never multiplies out the last direct term."""
+    """verify checks term n >= 2 through its last two steps of the
+    recurrence and multiplies out direct terms only up to x_{N-2}."""
 
     @staticmethod
     def tampered(monkeypatch, depth, n, coordinate, base, exp):
@@ -803,19 +803,57 @@ class TestVerifyLastStep:
         assert verify(p, i, 5, horizon=0).equal_by_n == [True] * 6
 
     def test_no_expansion_near_the_size_of_the_last_term(self, monkeypatch):
-        # x_8 has 8,652 bits; its linear factor and y_8 / x_8 about a third
+        # x_8 has 8,652 bits; A (lx_7, ly_7) and x_6 about a ninth of that
         p, i = params(2, 1, 1, 2), init(1, 2)
-        caps = []
-        original = solve_module.expand_exponents
+        sizes = []
+        expand_exponents, next_term = solve_module.expand_exponents, solve_module._next_term
 
-        def record(vec, num_bits, den_bits):
-            caps.append(max(num_bits, den_bits))
-            return original(vec, num_bits, den_bits)
+        def record_caps(vec, num_bits, den_bits):
+            sizes.append(max(num_bits, den_bits))
+            return expand_exponents(vec, num_bits, den_bits)
 
-        monkeypatch.setattr(solve_module, "expand_exponents", record)
+        def record_terms(*args):
+            out = next_term(*args)
+            sizes.extend(max(abs(v.numerator).bit_length(), v.denominator.bit_length()) for v in out)
+            return out
+
+        monkeypatch.setattr(solve_module, "expand_exponents", record_caps)
+        monkeypatch.setattr(solve_module, "_next_term", record_terms)
         assert verify(p, i, 8).equal_by_n == [True] * 9
         x8 = direct_orbit(p, i, 8)[0][8]
-        assert caps and max(caps) < x8.numerator.bit_length() // 2
+        assert sizes and max(sizes) < x8.numerator.bit_length() // 6
+
+    @pytest.mark.parametrize("digit_budget", range(162, 169))
+    def test_last_step_budget_certificate(self, monkeypatch, digit_budget):
+        # step 6 needs 164 digits; the bound from the bits of x_4, y_4 and
+        # (lx_5, ly_5) is 167, so budgets 164-166 form x_5 for _step
+        p, i = params(1, 0, -2, 2), init(F(-3, 2), F(2, 3))
+        want = (DigitBudgetExceeded, 164) if digit_budget < 164 else True
+        assert _outcome(lambda: len(iterate_direct(p, i, 6, digit_budget)) == 7) == want
+        steps = []
+        step = solve_module._step
+
+        def record(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(solve_module, "_step", record)
+        assert _outcome(lambda: verify(p, i, 6, digit_budget).all_equal) == want
+        assert len(steps) == (5 if digit_budget >= 167 else 6)
+
+    def test_fault_two_steps_back_takes_the_full_checks(self, monkeypatch):
+        p, i, depth = params(2, 1, 1, 2), init(1, 2), 6
+        _inject(monkeypatch, p, depth - 2, "x", "both", FactoredValue.build(1, [(F(3, 2), 1)]))
+        scales = []
+        paths_agree = solve_module._paths_agree
+
+        def record(*args):
+            scales.append(len(args) > 4)
+            return paths_agree(*args)
+
+        monkeypatch.setattr(solve_module, "_paths_agree", record)
+        assert verify(p, i, depth).equal_by_n == [m != depth - 2 for m in range(depth + 1)]
+        assert scales == [False, False, True, True, True, False, False]
 
     @given(
         inputs=verify_inputs(),

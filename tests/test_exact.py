@@ -29,6 +29,17 @@ from cubicorbit.exact import (
 F = Fraction
 
 
+def _prime_exponents(m: int) -> dict[int, int]:
+    """The prime factorization of a small positive m, by trial division."""
+    out, q = {}, 2
+    while m > 1:
+        while m % q == 0:
+            out[q] = out.get(q, 0) + 1
+            m //= q
+        q += 1
+    return out
+
+
 class TestParseRational:
     @pytest.mark.parametrize(
         "text,expected",
@@ -259,10 +270,22 @@ class TestFactoredValue:
     )
     @settings(max_examples=150)
     def test_expand_is_the_naive_product(self, sign, factors):
-        naive = F(sign)
+        # The product is built from the bases' prime exponents: multiplying
+        # Fractions of ~100k bits together reduces each by a long gcd, which
+        # can take longer than the deadline.
+        exponents, zero, product_sign = {}, False, sign
         for base, exp in factors:
-            naive *= base**exp
-        assert FactoredValue.build(sign, factors).expand() == naive
+            if exp == 0:
+                continue
+            zero = zero or base == 0
+            product_sign *= -1 if base < 0 and exp % 2 else 1
+            for m, k in ((abs(base.numerator), exp), (base.denominator, -exp)):
+                for q, e in _prime_exponents(m).items():
+                    exponents[q] = exponents.get(q, 0) + k * e
+        num = math.prod(q**e for q, e in exponents.items() if e > 0)
+        den = math.prod(q**-e for q, e in exponents.items() if e < 0)
+        value = FactoredValue.build(sign, factors).expand()
+        assert (value.numerator, value.denominator) == ((0, 1) if zero else (product_sign * num, den))
 
     def test_canonical_key_identifies_equal_values(self):
         a = FactoredValue.build(1, [(F(4), 3)])
