@@ -17,6 +17,8 @@ without taking its gcd again or passing through ``Fraction.__new__``.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,11 +34,16 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", "p" or an exact decimal literal like "0.25".
 
     A single leading '=' is tolerated so negative values can be passed on a
-    command line as ``-a=-1/2``.
+    command line as ``-a=-1/2``.  An exponent, as in "1e3", past Python's
+    int/str digit limit is refused before 10**exponent is built.
     """
     s = text.strip()
     if s.startswith("="):
         s = s[1:]
+    exponent = re.search(r"e[-+]?(\d+(?:_\d+)*)$", s, re.IGNORECASE)
+    limit = sys.get_int_max_str_digits()
+    if exponent and 0 < limit < int(exponent[1]):
+        raise ValueError(f"exponent {exponent[1]} exceeds the {limit}-digit limit")
     return Fraction(s)
 
 

@@ -2,10 +2,11 @@
 
 An initial pair belongs to the zero set exactly when some u_n or v_n
 vanishes; from that index on the orbit of the cubic system is identically
-zero.  Each of the four parameter cases has its own decider.  All are exact
-and analytic except the distinct-eigenvalue case with irrational or complex
-eigenvalues, where vanishing is a Skolem-type question: there we scan the
-orbit exactly up to a horizon and report UnknownWithinHorizon honestly.
+zero.  Each of the four parameter cases has its own decider.  The
+repeated-eigenvalue one is analytic; the other three run one exact scan of
+the linear orbit (u_n, v_n), stopped where no later zero can occur.  With
+irrational or complex eigenvalues that is a Skolem-type question: there
+the scan stops at a horizon and reports UnknownWithinHorizon honestly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DegenerateParameters, TrivialSolutionEncountered
-from .linearize import InitialPair, distinct_orbit_coefficients, repeated_ratio_constants
+from .linearize import InitialPair, repeated_ratio_constants
 from .matrix import CaseTag, SystemParams, classify, eigenvalues, require_case
 
 DEFAULT_HORIZON = 64
@@ -46,76 +47,65 @@ def _member(witness: int) -> ZeroSetVerdict:
     return ZeroSetVerdict(Membership.MEMBER, witness=witness)
 
 
-def z0_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
-    """Rank-deficient case: x0 y0 = 0 or a x0 + b y0 = 0.
+def _scan(p: SystemParams, init: InitialPair, limit: Optional[int], lam=None,
+          none_found: ZeroSetVerdict = ZeroSetVerdict(Membership.NON_MEMBER)) -> ZeroSetVerdict:
+    """Member at the least n <= limit with u_n = 0 or v_n = 0, by an exact
+    scan of the linear orbit, else none_found.  Given lam = (lam1, lam2),
+    rational eigenvalues with |lam1| > |lam2|, it also stops once both rows
+    are settled."""
+    u, v = init.x0, init.y0
+    n = 0
+    while u != 0 and v != 0:
+        if n == limit:
+            return none_found
+        u1, v1 = p.a * u + p.b * v, p.c * u + p.d * v
+        if lam is not None and _settled(u, u1, *lam) and _settled(v, v1, *lam):
+            return none_found
+        u, v = u1, v1
+        n += 1
+    return _member(n)
 
-    When additionally a + d = 0 the matrix is nilpotent (A^2 = 0) and every
-    initial pair is a member, with witness at most 2.
+
+def _settled(w: Fraction, w1: Fraction, lam1: Fraction, lam2: Fraction) -> bool:
+    """Whether the row w_n = (P lam1^n - Q lam2^n) / (lam1 - lam2), with
+    w = w_n != 0 and w1 = w_{n+1}, has no zero after n.
+
+    P lam1^n = w1 - lam2 w and Q lam2^n = w1 - lam1 w are equal exactly where
+    w vanishes, and their ratio grows strictly in absolute value: once the
+    first is zero or the larger (as when Q = 0), they never meet.
+    """
+    dominant = w1 - lam2 * w
+    return dominant == 0 or abs(dominant) > abs(w1 - lam1 * w)
+
+
+def z0_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
+    """Rank-deficient case: x0 y0 = 0 or a x0 + b y0 = 0, or a + d = 0.
+
+    A^n = (a + d)^(n-1) A for n >= 1, so a zero first occurs by n = 2 or
+    never: the scan stops there.  When a + d = 0 the matrix is nilpotent
+    (A^2 = 0) and every initial pair is a member, with witness at most 2.
     """
     require_case(p, CaseTag.RANK_DEFICIENT)
-    if init.x0 == 0 or init.y0 == 0:
-        return _member(0)
-    u1 = p.a * init.x0 + p.b * init.y0
-    v1 = p.c * init.x0 + p.d * init.y0
-    if u1 == 0 or v1 == 0:
-        return _member(1)
-    if p.trace == 0:
-        return _member(2)
-    return ZeroSetVerdict(Membership.NON_MEMBER)
-
-
-def _row_zero_index(P: Fraction, Q: Fraction, lam1: Fraction, lam2: Fraction) -> Optional[int]:
-    """Least n >= 0 with P lam1^n = Q lam2^n, for rationals with
-    |lam1| > |lam2| > 0, or None.
-
-    |P lam1^n / (Q lam2^n)| is strictly increasing, so the scan stops as
-    soon as the left side dominates in absolute value.
-    """
-    if P == 0 and Q == 0:
-        return 0
-    if P == 0 or Q == 0:
-        return None
-    lhs, rhs = P, Q
-    n = 0
-    while abs(lhs) <= abs(rhs):
-        if lhs == rhs:
-            return n
-        lhs *= lam1
-        rhs *= lam2
-        n += 1
-    return None
+    return _scan(p, init, 2)
 
 
 def z1_member(p: SystemParams, init: InitialPair, horizon: int = DEFAULT_HORIZON) -> ZeroSetVerdict:
     """Distinct eigenvalues with nonzero trace.
 
-    Rational eigenvalues admit an exact monotone scan that terminates with
-    an analytic NonMember; irrational or complex ones fall back to a
-    bounded exact orbit scan.
+    Rational eigenvalues differ in absolute value, as their sum is nonzero,
+    and the scan runs until both rows are settled, which decides membership.
+    Irrational or complex ones are scanned only up to the horizon.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     require_case(p, CaseTag.DISTINCT)
     eig = eigenvalues(p)
     if eig.is_rational:
-        lam1, lam2 = eig.lam1, eig.lam2
-        P, Q, R, S = distinct_orbit_coefficients(p, init)
-        if abs(lam1) < abs(lam2):
-            # the scan needs the dominant eigenvalue first
-            lam1, lam2 = lam2, lam1
-            P, Q, R, S = Q, P, S, R
-        hits = [i for i in (
-            _row_zero_index(P, Q, lam1, lam2),
-            _row_zero_index(R, S, lam1, lam2),
-        ) if i is not None]
-        if hits:
-            return _member(min(hits))
-        return ZeroSetVerdict(Membership.NON_MEMBER)
-    # Skolem territory: exact scan of the linear orbit.
-    u, v = init.x0, init.y0
-    for n in range(horizon + 1):
-        if u == 0 or v == 0:
-            return _member(n)
-        u, v = p.a * u + p.b * v, p.c * u + p.d * v
-    return ZeroSetVerdict(Membership.UNKNOWN_WITHIN_HORIZON, horizon=horizon)
+        lam = sorted((eig.lam1, eig.lam2), key=abs, reverse=True)
+        return _scan(p, init, None, lam)
+    # Skolem territory: exact scan of the linear orbit up to the horizon.
+    unknown = ZeroSetVerdict(Membership.UNKNOWN_WITHIN_HORIZON, horizon=horizon)
+    return _scan(p, init, horizon, none_found=unknown)
 
 
 def _linear_root_index(coeff: Fraction, const: Fraction) -> Optional[int]:
@@ -143,18 +133,20 @@ def z2_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
 
 def z3_member(p: SystemParams, init: InitialPair) -> ZeroSetVerdict:
     """Trace zero with distinct eigenvalues: x0 y0 = 0, a x0 + b y0 = 0 or
-    c x0 + d y0 = 0."""
+    c x0 + d y0 = 0.
+
+    A^2 = -det I with det != 0, so a zero first occurs by n = 1 or never:
+    the scan stops there.
+    """
     require_case(p, CaseTag.ANTITRACE_DISTINCT)
-    if init.x0 == 0 or init.y0 == 0:
-        return _member(0)
-    if p.a * init.x0 + p.b * init.y0 == 0 or p.c * init.x0 + p.d * init.y0 == 0:
-        return _member(1)
-    return ZeroSetVerdict(Membership.NON_MEMBER)
+    return _scan(p, init, 1)
 
 
 def zero_set_member(
     p: SystemParams, init: InitialPair, horizon: int = DEFAULT_HORIZON
 ) -> ZeroSetVerdict:
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     if p.is_degenerate:
         raise DegenerateParameters("a = b = 0 or c = d = 0")
     tag = classify(p)

@@ -257,6 +257,31 @@ class TestDigitBudget:
         assert "expansion" not in err
 
 
+class TestDigitBudgetVariable:
+    """CUBIC_ORBIT_DIGIT_BUDGET sets the budget when --digit-budget is absent."""
+
+    ARGV = ["solve", "-a", "1", "-b", "0", "-c=-2", "-d", "2", "--x0=-3/2", "--y0", "2/3", "-n", "7"]
+
+    def test_sets_the_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUBIC_ORBIT_DIGIT_BUDGET", "1000")
+        assert cli.run(self.ARGV) == 5
+        assert "budget is 1000" in capsys.readouterr().err
+
+    def test_flag_overrides_it(self, monkeypatch, capsys):
+        monkeypatch.setenv("CUBIC_ORBIT_DIGIT_BUDGET", "1000")
+        code, out = run_cli(self.ARGV + ["--digit-budget", "3000"], capsys)
+        assert code == 0
+        assert len(out.encode()) == 1197
+
+    @pytest.mark.parametrize("value", ["abc", "999"])
+    def test_bad_value_is_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("CUBIC_ORBIT_DIGIT_BUDGET", value)
+        with pytest.raises(SystemExit) as err:
+            cli.run(self.ARGV)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
 class TestInputChecks:
     @pytest.mark.parametrize(
         "argv,message",
@@ -275,6 +300,14 @@ class TestInputChecks:
             cli.run(argv)
         assert err.value.code == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_exponent_past_the_digit_limit(self, int_digit_limit, capsys):
+        # exit 2 at once, without building 10**10000000
+        with pytest.raises(SystemExit) as err:
+            cli.run(["classify", "-a", "1e10000000", "-b", "1", "-c", "1", "-d", "1"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "usage error: exponent 10000000 exceeds the 4300-digit limit\n"
+        assert run_cli(["classify", "-a", "1e3", "-b", "1", "-c", "1", "-d", "1"], capsys) == (0, "case: distinct\n")
 
     def test_internal_value_error_is_not_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):

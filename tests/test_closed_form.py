@@ -240,6 +240,11 @@ class TestSolveDispatcher:
         with pytest.raises(UnknownWithinHorizon):
             solve(params(2, 1, 1, 0), init(2, 3), 5, horizon=2)
 
+    def test_negative_horizon(self):
+        # a member at n = 0 all the same
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            solve(params(2, 1, 1, 0), init(0, 1), 0, horizon=-1)
+
     def test_unknown_but_within_prefix_is_solved(self):
         result = solve(params(2, 1, 1, 0), init(2, 3), 3, horizon=8)
         xs, ys = direct_orbit(params(2, 1, 1, 0), init(2, 3), 3)
@@ -593,6 +598,11 @@ class TestVerify:
     def test_to_dict_unknown_within_horizon(self):
         doc = verify(params(-3, -3, -3, 0), init(2, -3), 1, horizon=1).to_dict()
         assert doc["trivial"] == {"member": False, "unknown_within_horizon": 1}
+
+    def test_negative_horizon(self):
+        # not a TrivialSolutionEncountered from a case solver run on a member
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            verify(params(2, 1, 1, 0), init(0, 1), 2, horizon=-1)
 
     @pytest.mark.parametrize("n", [0, 2, 3])
     def test_divergence_in_y_alone(self, monkeypatch, n):

@@ -50,10 +50,19 @@ class TestParseRational:
             ("-0.5", F(-1, 2)),
             ("=-1/2", F(-1, 2)),  # '=' form used on the command line
             (" 7/2 ", F(7, 2)),
+            ("1e3", F(1000)),
+            ("-2.5E-2", F(-1, 40)),
         ],
     )
     def test_grammar(self, text, expected):
         assert parse_rational(text) == expected
+
+    @pytest.mark.parametrize("text", ["1e10000000", "=-1E-4301", "1e1_000_000"])
+    def test_exponent_past_the_digit_limit(self, text, int_digit_limit):
+        # refused before 10**exponent is built, as a 4,301-digit literal is
+        with pytest.raises(ValueError, match="exceeds the 4300-digit limit"):
+            parse_rational(text)
+        assert parse_rational("1e4300") == 10**4300
 
     def test_format_round_trip(self):
         for r in (F(-3, 7), F(42), F(0), F(5, 1)):

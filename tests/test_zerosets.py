@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicorbit.errors import CaseMismatch, DegenerateParameters
 from cubicorbit.linearize import InitialPair
@@ -92,6 +94,70 @@ class TestZ1:
         with pytest.raises(CaseMismatch):
             z1_member(params(1, 1, 1, -1), init(1, 1), 16)
 
+    @pytest.mark.parametrize("p", [params(2, 1, 1, 0), params(2, 1, 1, 2)])
+    def test_negative_horizon(self, p):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            z1_member(p, init(0, 1), -1)
+
+
+NONZERO_RATIONALS = st.builds(
+    Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def diagonalized(draw):
+    """A = S diag(l1, l2) S^-1 with rational |l1| != |l2|, and the integer S."""
+    l1, l2 = draw(
+        st.tuples(NONZERO_RATIONALS, NONZERO_RATIONALS).filter(lambda ls: abs(ls[0]) != abs(ls[1]))
+    )
+    s11, s12, s21, s22 = draw(
+        st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda s: s[0] * s[3] != s[1] * s[2])
+    )
+    det = s11 * s22 - s12 * s21
+    # rows of S diag(l1, l2) times the columns of adj(S) / det
+    a = (s11 * l1 * s22 - s12 * l2 * s21) / det
+    b = (-s11 * l1 * s12 + s12 * l2 * s11) / det
+    c = (s21 * l1 * s22 - s22 * l2 * s21) / det
+    d = (-s21 * l1 * s12 + s22 * l2 * s11) / det
+    return SystemParams(a, b, c, d), (s11, s12, s21, s22), (l1, l2)
+
+
+class TestRationalStoppingRule:
+    """The scan of distinct rational eigenvalues stops once both rows are
+    settled; that must neither miss a late zero nor stop short of the first.
+    With (u_n, v_n) = S (l1^n w1, l2^n w2), a seed S (w1, w2) is built to
+    vanish at a drawn m, or is an eigenvector (w1 = 0 or w2 = 0), where one
+    of P and Q is zero."""
+
+    @staticmethod
+    def check(p, i):
+        verdict = z1_member(p, i)
+        scanned = first_orbit_zero(p, i, 200)
+        if verdict.is_member:
+            assert verdict.witness == scanned
+        else:
+            assert verdict.status is Membership.NON_MEMBER
+            assert scanned is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonalized(), st.integers(0, 60), st.booleans())
+    def test_seed_built_to_vanish(self, system, m, second_row):
+        p, (s11, s12, s21, s22), (l1, l2) = system
+        # row (r1, r2) of S is zero at m for w = (r2 l2^m, -r1 l1^m)
+        r1, r2 = (s21, s22) if second_row else (s11, s12)
+        w1, w2 = r2 * l2**m, -r1 * l1**m
+        i = InitialPair(s11 * w1 + s12 * w2, s21 * w1 + s22 * w2)
+        assert first_orbit_zero(p, i, m) is not None
+        self.check(p, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonalized(), NONZERO_RATIONALS, st.booleans())
+    def test_eigenvector_seed(self, system, w, first):
+        p, (s11, s12, s21, s22), _ = system
+        w1, w2 = (w, 0) if first else (0, w)
+        self.check(p, InitialPair(s11 * w1 + s12 * w2, s21 * w1 + s22 * w2))
+
 
 class TestZ2:
     def test_member_with_late_witness(self):
@@ -157,6 +223,16 @@ class TestDispatcher:
             zero_set_member(params(0, 0, 1, 1), init(1, 1))
         with pytest.raises(DegenerateParameters):
             zero_set_member(params(1, 1, 0, 0), init(1, 1))
+
+    @pytest.mark.parametrize(
+        "p",
+        [params(1, 1, 1, 1), params(3, 1, -1, 1), params(2, 1, 1, 0), params(2, 1, 1, 2),
+         params(1, 1, 1, -1), params(0, 0, 1, 1)],
+    )
+    def test_negative_horizon(self, p):
+        # in every case, the degenerate one included, before any decision
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            zero_set_member(p, init(0, 1), -1)
 
     def test_examples(self):
         assert zero_set_member(params(1, 1, 1, 1), init(2, 3)).status is Membership.NON_MEMBER
