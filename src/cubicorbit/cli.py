@@ -41,7 +41,13 @@ EXIT_UNKNOWN = 6
 
 def _env_digit_budget() -> int:
     raw = os.environ.get("CUBIC_ORBIT_DIGIT_BUDGET")
-    return int(raw) if raw else DEFAULT_DIGIT_BUDGET
+    try:
+        budget = int(raw) if raw else DEFAULT_DIGIT_BUDGET
+    except ValueError:
+        budget = 0
+    if budget < 1000:
+        raise ValueError(f"CUBIC_ORBIT_DIGIT_BUDGET must be an integer >= 1000, not {raw!r}")
+    return budget
 
 
 def _config(args):

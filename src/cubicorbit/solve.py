@@ -23,8 +23,9 @@ step k gives (x_k, y_k) = P_{k-1} (lx_k, ly_k), and two steps give
 the system linear in (u_n, v_n).  Once terms n - 1 and n - 2 have agreed on
 all three paths, only A (lx_{n-1}, ly_{n-1}) is compared, so no expansion
 grows past about a ninth of x_n's digits, and the direct walk stops at
-x_{N-2}.  ``_step`` holds the recurrence and its digit budget for both
-``verify`` and ``iterate_direct``.
+x_{N-2}.  ``_Walk`` is the one walk of the recurrence: ``iterate_direct``
+and ``verify`` read their terms and linear factors from it, and each
+factor is formed by ``_step`` under the digit budget.
 """
 
 from __future__ import annotations
@@ -77,22 +78,36 @@ def _term(n: int, x: FactoredValue, ratio: Fraction) -> OrbitTerm:
     return OrbitTerm(n, x, x.times(FactoredValue.from_rational(ratio)))
 
 
-def _initial_term(init: InitialPair) -> OrbitTerm:
-    return _term_from_rationals(0, init.x0, init.y0)
-
-
 def iterate_direct(
     p: SystemParams, init: InitialPair, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> list[OrbitTerm]:
     """Terms 0..n by the literal recurrence; the oracle for everything else."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    terms = [_initial_term(init)]
-    x, y = init.x0, init.y0
-    for k in range(1, n + 1):
-        x, y = _next_term(x, y, *_step(p, x, y, digit_budget))
-        terms.append(_term_from_rationals(k, x, y))
-    return terms
+    walk = _Walk(p, init, digit_budget)
+    return [_term_from_rationals(k, *walk.term(k)) for k in range(n + 1)]
+
+
+class _Walk:
+    """The literal recurrence from (x_0, y_0), multiplied out on demand: the
+    one place direct terms and linear factors are formed."""
+
+    def __init__(self, p: SystemParams, init: InitialPair, digit_budget: int):
+        self.p, self.digit_budget = p, digit_budget
+        self.terms, self.factors = [(init.x0, init.y0)], [None]
+
+    def term(self, k: int) -> tuple[Fraction, Fraction]:
+        """(x_k, y_k)."""
+        while len(self.terms) <= k:
+            self.terms.append(_next_term(*self.terms[-1], *self.factor(len(self.terms))))
+        return self.terms[k]
+
+    def factor(self, k: int) -> tuple[Fraction, Fraction]:
+        """(lx_k, ly_k) = A (x_{k-1}, y_{k-1}), the linear factors of step
+        k >= 1, each formed by ``_step`` under the digit budget."""
+        while len(self.factors) <= k:
+            self.factors.append(_step(self.p, *self.term(len(self.factors) - 1), self.digit_budget))
+        return self.factors[k]
 
 
 def _step(p: SystemParams, x: Fraction, y: Fraction, digit_budget: int) -> tuple[Fraction, Fraction]:
@@ -148,7 +163,7 @@ def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredV
 def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     z0_member(p, init).reject_member()
     if n == 0:
-        return _initial_term(init)
+        return _term_from_rationals(0, init.x0, init.y0)
     # y_n / x_n is the constant t from the proportional rows; a = 0 forces
     # c = 0 here, so the d/b fallback is always well defined.
     t = p.c / p.a if p.a != 0 else p.d / p.b
@@ -461,62 +476,40 @@ def verify(
     terms only up to x_{N-2}.  Term 0, term 1, a term after a disagreement
     at n - 1 or n - 2 and a step with a zero take the full check against
     (x_n, y_n), formed on demand, instead.
+
+    Past an undecided zero-set verdict's horizon the case solvers still run:
+    one that meets a zero u_k or v_k raises TrivialSolutionEncountered (CLI
+    exit 4), where ``solve`` past the horizon raises UnknownWithinHorizon.
     """
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     report = VerificationReport(case=tag, verdict=verdict, depth=depth)
-    if verdict.is_member:
-        direct = iterate_direct(p, init, depth, digit_budget)
-        confirmed = all(
-            direct[m].x.sign == 0 and direct[m].y.sign == 0
-            for m in range(verdict.witness + 1, depth + 1)
-        )
-        report.trivial_zeros_confirmed = confirmed
-        return report
     if depth < 0:
         raise ValueError("n must be nonnegative")
-    # terms[n] = (x_n, y_n) and factors[n] = (lx_n, ly_n), the linear
-    # factors of step n.  The walk multiplies out terms up to depth - 2 and
-    # factors up to depth - 1; it runs before any solver, so steps up to
-    # depth - 1 refuse as iterate_direct does.  Step depth's budget is
-    # certified from bit lengths, and only when that bound fails are
-    # x_{depth-1} and y_{depth-1} formed for ``_step`` to decide exactly.
-    terms, factors = [(init.x0, init.y0)], [None]
-    for n in range(1, depth + 1):
-        if n == depth and n >= 2:
-            (x, y), (lx, ly) = terms[-1], factors[-1]
-            if _step_digits((x, y, lx), (x, y, ly)) <= digit_budget:
-                break
-            terms.append(_next_term(x, y, lx, ly))
-        factors.append(_step(p, *terms[-1], digit_budget))
-        if n < depth - 1:
-            terms.append(_next_term(*terms[-1], *factors[-1]))
-
-    def direct(n: int) -> tuple[Fraction, Fraction]:
-        """(x_n, y_n), multiplied out on demand past the walk."""
-        while len(terms) <= n:
-            if len(factors) == len(terms):
-                factors.append(_matrix_times(p, *terms[-1]))
-            terms.append(_next_term(*terms[-1], *factors[len(terms)]))
-        return terms[n]
-
+    walk = _Walk(p, init, digit_budget)
+    if verdict.is_member:
+        walk.term(depth)
+        report.trivial_zeros_confirmed = not any(any(walk.term(m)) for m in range(verdict.witness + 1, depth + 1))
+        return report
+    # Steps up to depth - 1 refuse as iterate_direct does, before any solver
+    # runs.  Step depth's budget is certified from bit lengths, and only when
+    # that bound fails is x_{depth-1} formed for ``_step`` to decide exactly.
+    if depth >= 2:
+        (x, y), (lx, ly) = walk.term(depth - 2), walk.factor(depth - 1)
+    if depth < 2 or _step_digits((x, y, lx), (x, y, ly)) > digit_budget:
+        walk.factor(depth)
     solver = _CASE_SOLVERS[tag]
     basis = CoprimeBasis()
     prev2 = prev = None  # the closed terms n - 2 and n - 1 once they agreed on all three paths
     for n in range(depth + 1):
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
-        if (
-            prev2 is not None
-            and prev is not None
-            and all(terms[n - 2])
-            and all(factors[n - 1])
-            and all(m := _matrix_times(p, *factors[n - 1]))
-        ):
+        two_step = prev2 is not None and prev is not None and all(walk.term(n - 2) + walk.factor(n - 1))
+        if two_step and all(m := _matrix_times(p, *walk.factor(n - 1))):
             scale = (prev.x, prev.y, prev2.x, prev2.y)  # P_{n-1} P_{n-2}
             ok = _paths_agree(closed, recon, _term_from_rationals(n, *m), basis, scale)
         else:
-            ok = _paths_agree(closed, recon, _term_from_rationals(n, *direct(n)), basis)
+            ok = _paths_agree(closed, recon, _term_from_rationals(n, *walk.term(n)), basis)
         report.equal_by_n.append(ok)
         prev2, prev = prev, (closed if ok else None)
     return report

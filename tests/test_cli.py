@@ -215,6 +215,21 @@ class TestExitCodes:
         assert code == 4
         assert capsys.readouterr().err == "error: trivial solution, witness=3\n"
 
+    @pytest.mark.parametrize(
+        "argv,code,err",
+        [
+            (["verify", "-N", "5"], 4, "error: trivial solution, witness=3\n"),
+            (["solve", "-n", "5"], 6, "error: no zero found scanning up to index 2; membership undecided\n"),
+        ],
+        ids=["verify", "solve"],
+    )
+    def test_zero_past_the_horizon(self, argv, code, err, capsys):
+        # u_3 = 0 lies past horizon 2: verify runs the case solver into it,
+        # while solve refuses an index past the horizon
+        system = ["-a", "1", "-b", "1", "-c", "1", "-d", "2", "--x0=-8", "--y0", "5", "--horizon", "2"]
+        assert cli.run(argv[:1] + system + argv[1:]) == code
+        assert capsys.readouterr().err == err
+
 
 def _lifted(fn):
     """Run fn with Python's int/str digit limit off, to read big CLI output."""
@@ -279,7 +294,7 @@ class TestDigitBudgetVariable:
         with pytest.raises(SystemExit) as err:
             cli.run(self.ARGV)
         assert err.value.code == 2
-        assert capsys.readouterr().err.startswith("usage error: ")
+        assert capsys.readouterr().err.startswith("usage error: CUBIC_ORBIT_DIGIT_BUDGET ")
 
 
 class TestInputChecks:

@@ -661,6 +661,40 @@ class TestVerify:
                 run(p, i, 7, digit_budget=est - 1)
             assert err.value.estimated_digits == est
 
+    @pytest.mark.parametrize(
+        "p,i",
+        [
+            (params(1, 2, 2, 4), init(1, 1)),
+            (params(F(1, 2), 1, F(-1, 3), F(-2, 3)), init(2, F(3, 5))),
+            (params(3, 1, -1, 1), init(1, 2)),
+            (params(2, 1, 1, 2), init(1, 2)),
+            (params(F(1, 2), 3, F(-2, 5), 1), init(F(3, 7), F(5, 2))),
+            (params(1, 0, -2, 2), init(F(-3, 2), F(2, 3))),
+            (params(1, 1, 1, -1), init(1, 2)),
+            (params(1, 1, 1, -1), init(1, 1)),
+            (params(2, 1, 1, 2), init(0, 1)),
+        ],
+        ids=["rank-deficient", "rank-deficient-fractional", "repeated", "distinct", "distinct-irrational",
+             "distinct-fractional-seed", "antitrace", "antitrace-member", "distinct-member"],
+    )
+    def test_refusal_sweep_is_that_of_iterate_direct(self, p, i):
+        # budgets one below, at and one above each step's estimate
+        def refusal(run, depth, budget):
+            try:
+                run(p, i, depth, budget)
+            except DigitBudgetExceeded as err:
+                return err.estimated_digits
+            return None
+
+        terms = iterate_direct(p, i, 7)
+        for depth in range(2, 9):
+            estimates = [
+                solve_module._step_digits((t.x.expand(),), (t.y.expand(),)) for t in terms[:depth]
+            ]
+            for budget in {est + k for est in estimates for k in (-1, 0, 1)}:
+                want = refusal(iterate_direct, depth, budget)
+                assert refusal(verify, depth, budget) == want, (depth, budget)
+
     def test_former_sympy_fallback_needs_no_canonical_key(self, monkeypatch):
         # expand's estimate refuses closed x_7 at this budget, so terms
         # were once compared by factoring bases with sympy.
