@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import TrivialSolutionEncountered
-from .matrix import SystemParams, eigenvalues, power
+from .matrix import Mat2, SystemParams, eigenvalues, power
 
 
 class InitialPair(NamedTuple):
@@ -44,10 +44,11 @@ def linear_orbit_seq(p: SystemParams, init: InitialPair, n: int) -> list[LinearS
     """States 0..n by stepwise recurrence; cheaper than n matrix powers."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    step = Mat2.of(p).apply
     states = [LinearState(0, init.x0, init.y0)]
     u, v = init.x0, init.y0
     for k in range(1, n + 1):
-        u, v = p.a * u + p.b * v, p.c * u + p.d * v
+        u, v = step(u, v)
         states.append(LinearState(k, u, v))
     return states
 
@@ -61,13 +62,15 @@ def ratio(p: SystemParams, init: InitialPair, n: int) -> Fraction:
 
 
 def repeated_ratio_constants(p: SystemParams, init: InitialPair) -> RepeatedRatioConstants:
-    half_sum = p.trace / 2
-    half_diff = (p.a - p.d) / 2
+    """u_n = h^(n-1) (c1 + c2 n) and v_n = h^(n-1) (c3 + c4 n), h = (a + d)/2,
+    so (c2, c4) = (u_1, v_1) - h (x0, y0)."""
+    h = p.trace / 2
+    u1, v1 = Mat2.of(p).apply(init.x0, init.y0)
     return RepeatedRatioConstants(
-        c1=half_sum * init.x0,
-        c2=half_diff * init.x0 + p.b * init.y0,
-        c3=half_sum * init.y0,
-        c4=p.c * init.x0 - half_diff * init.y0,
+        c1=h * init.x0,
+        c2=u1 - h * init.x0,
+        c3=h * init.y0,
+        c4=v1 - h * init.y0,
     )
 
 
@@ -78,12 +81,8 @@ def distinct_orbit_coefficients(p: SystemParams, init: InitialPair):
     eig = eigenvalues(p)
     lam1, lam2 = eig.lam1, eig.lam2
     x0, y0 = init.x0, init.y0
-    return (
-        (p.a - lam2) * x0 + p.b * y0,
-        (p.a - lam1) * x0 + p.b * y0,
-        p.c * x0 + (p.d - lam2) * y0,
-        p.c * x0 + (p.d - lam1) * y0,
-    )
+    u1, v1 = Mat2.of(p).apply(x0, y0)
+    return u1 - lam2 * x0, u1 - lam1 * x0, v1 - lam2 * y0, v1 - lam1 * y0
 
 
 def antitrace_ratios(p: SystemParams, init: InitialPair) -> tuple[Fraction, Fraction]:
@@ -91,9 +90,7 @@ def antitrace_ratios(p: SystemParams, init: InitialPair) -> tuple[Fraction, Frac
     trace-zero case."""
     if init.x0 == 0:
         raise TrivialSolutionEncountered(0)
-    odd_den = p.a * init.x0 + p.b * init.y0
-    if odd_den == 0:
+    u1, v1 = Mat2.of(p).apply(init.x0, init.y0)
+    if u1 == 0:
         raise TrivialSolutionEncountered(1)
-    even = init.y0 / init.x0
-    odd = (p.c * init.x0 + p.d * init.y0) / odd_den
-    return even, odd
+    return init.y0 / init.x0, v1 / u1

@@ -25,7 +25,8 @@ all three paths, only A (lx_{n-1}, ly_{n-1}) is compared, so no expansion
 grows past about a ninth of x_n's digits, and the direct walk stops at
 x_{N-2}.  ``_Walk`` is the one walk of the recurrence: ``iterate_direct``
 and ``verify`` read their terms and linear factors from it, and each
-factor is formed by ``_step`` under the digit budget.
+factor A (x, y) is formed by ``_step`` with ``Mat2.apply`` under the digit
+budget.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .exact import (
     three_pow,
 )
 from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq
-from .matrix import CaseTag, SystemParams, classify, require_case
+from .matrix import CaseTag, Mat2, SystemParams, classify, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
 
 
@@ -117,7 +118,7 @@ def _step(p: SystemParams, x: Fraction, y: Fraction, digit_budget: int) -> tuple
     digits = _step_digits((x,), (y,))
     if digits > digit_budget:
         raise DigitBudgetExceeded(digits, digit_budget)
-    return _matrix_times(p, x, y)
+    return Mat2.of(p).apply(x, y)
 
 
 def _step_digits(*coordinates: tuple[Fraction, ...]) -> int:
@@ -134,11 +135,6 @@ def _step_digits(*coordinates: tuple[Fraction, ...]) -> int:
         bits = max(bits, num, den)
     # each step roughly cubes the digit count
     return bits_digits(bits, 3)
-
-
-def _matrix_times(p: SystemParams, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-    """A (x, y) = (a x + b y, c x + d y)."""
-    return p.a * x + p.b * y, p.c * x + p.d * y
 
 
 def _next_term(x: Fraction, y: Fraction, lx: Fraction, ly: Fraction) -> tuple[Fraction, Fraction]:
@@ -168,7 +164,7 @@ def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTer
     # c = 0 here, so the d/b fallback is always well defined.
     t = p.c / p.a if p.a != 0 else p.d / p.b
     K = p.a * t + p.b * t * t
-    x1 = init.x0 * init.y0 * (p.a * init.x0 + p.b * init.y0)
+    x1 = init.x0 * init.y0 * Mat2.of(p).apply(init.x0, init.y0)[0]
     x = FactoredValue.build(1, [(x1, three_pow(n - 1)), (K, geometric_exponent(n - 1))])
     return _term(n, x, t)
 
@@ -356,22 +352,22 @@ def _paths_agree(
     recon: OrbitTerm,
     direct: OrbitTerm,
     basis: CoprimeBasis,
-    scale: tuple[FactoredValue, ...] = (),
+    scale: Optional[FactoredValue] = None,
 ) -> bool:
     """closed == recon == s * direct at one n, by one capped expansion per
-    coordinate, for s the product of the values in ``scale``.
+    coordinate, for s = ``scale`` (1 when it is None).
 
     With no scale (s = 1) this is the full check: the four closed and
     reconstruction values are added to ``basis`` and compared by exponent
     vectors (vx, vy) over it, then |x_n| = prod q**vx and |y_n| = |x_n| *
     rho, rho = prod q**(vy - vx), against direct's values; a zero
-    coordinate needs no separate branch.  ``verify`` passes the closed
-    terms n - 1 and n - 2 as the scale and A (lx_{n-1}, ly_{n-1}) as
-    direct: then the signs must be those of s times direct's,
-    prod q**(vx - w) = |direct.x| and |direct.x| rho = |direct.y|, for w
-    the vector of |s|.  w is read over the refined basis, as vectors read
-    before a refinement are stale, and all values must be nonzero.
-    Neither expansion grows past the size of direct's values.
+    coordinate needs no separate branch.  ``verify`` passes P_{n-1} P_{n-2},
+    the product of the closed terms n - 1 and n - 2, as the scale and
+    A (lx_{n-1}, ly_{n-1}) as direct: then the signs must be those of s
+    times direct's, prod q**(vx - w) = |direct.x| and |direct.x| rho =
+    |direct.y|, for w the vector of |s|.  w is read over the refined basis,
+    as vectors read before a refinement are stale, and all values must be
+    nonzero.  Neither expansion grows past the size of direct's values.
     """
     for value in (closed.x, closed.y, recon.x, recon.y):
         basis.add_value(value)
@@ -379,20 +375,16 @@ def _paths_agree(
     if (cx, cy) != (recon.x.exponent_vector(basis), recon.y.exponent_vector(basis)):
         return False
     (sx, vx), (sy, vy) = cx, cy
-    s, w = 1, {}
-    for value in scale:
-        sv, vv = value.exponent_vector(basis)
-        s *= sv
-        w = _vector_sum(w, vv)
+    s, w = (1, {}) if scale is None else scale.exponent_vector(basis)
     if (sx, sy) != (s * direct.x.sign, s * direct.y.sign):
         return False
     x, y = _magnitude(direct.x), _magnitude(direct.y)
-    return _scaled_equals(_vector_sum(vx, w, -1), ONE, x) and _scaled_equals(_vector_sum(vy, vx, -1), x, y)
+    return _scaled_equals(_vector_diff(vx, w), ONE, x) and _scaled_equals(_vector_diff(vy, vx), x, y)
 
 
-def _vector_sum(u: dict[int, int], v: dict[int, int], k: int = 1) -> dict[int, int]:
-    """The exponent vector u + k v."""
-    return {q: u.get(q, 0) + k * v.get(q, 0) for q in u.keys() | v.keys()}
+def _vector_diff(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    """The exponent vector u - v."""
+    return {q: u.get(q, 0) - v.get(q, 0) for q in u.keys() | v.keys()}
 
 
 class VerificationReport:
@@ -470,22 +462,22 @@ def verify(
     when the closed form and the reconstruction have the same exponent
     vectors (vx, vy), their signs are those of P_{n-1} P_{n-2} mx and
     P_{n-1} P_{n-2} my, prod q**(vx - w) = |mx| for w the vector of
-    |P_{n-1} P_{n-2}| read off the closed terms n - 1 and n - 2, and
-    |mx| prod q**(vy - vx) = |my|.  So no expansion grows past (mx, my),
-    about a ninth of x_n's digits, and the direct walk multiplies out
-    terms only up to x_{N-2}.  Term 0, term 1, a term after a disagreement
-    at n - 1 or n - 2 and a step with a zero take the full check against
-    (x_n, y_n), formed on demand, instead.
+    |P_{n-1} P_{n-2}|, formed as one product of the closed terms n - 1 and
+    n - 2, and |mx| prod q**(vy - vx) = |my|.  So no expansion grows past
+    (mx, my), about a ninth of x_n's digits, and the direct walk multiplies
+    out terms only up to x_{N-2}.  Term 0, term 1, a term after a
+    disagreement at n - 1 or n - 2 and a step with a zero take the full
+    check against (x_n, y_n), formed on demand, instead.
 
     Past an undecided zero-set verdict's horizon the case solvers still run:
     one that meets a zero u_k or v_k raises TrivialSolutionEncountered (CLI
     exit 4), where ``solve`` past the horizon raises UnknownWithinHorizon.
     """
+    if depth < 0:
+        raise ValueError("n must be nonnegative")
     tag = classify(p)
     verdict = zero_set_member(p, init, horizon)
     report = VerificationReport(case=tag, verdict=verdict, depth=depth)
-    if depth < 0:
-        raise ValueError("n must be nonnegative")
     walk = _Walk(p, init, digit_budget)
     if verdict.is_member:
         walk.term(depth)
@@ -505,8 +497,8 @@ def verify(
         closed = solver(p, init, n)
         recon = reconstruct_general(p, init, n)
         two_step = prev2 is not None and prev is not None and all(walk.term(n - 2) + walk.factor(n - 1))
-        if two_step and all(m := _matrix_times(p, *walk.factor(n - 1))):
-            scale = (prev.x, prev.y, prev2.x, prev2.y)  # P_{n-1} P_{n-2}
+        if two_step and all(m := Mat2.of(p).apply(*walk.factor(n - 1))):
+            scale = prev.x.times(prev.y).times(prev2.x).times(prev2.y)  # P_{n-1} P_{n-2}
             ok = _paths_agree(closed, recon, _term_from_rationals(n, *m), basis, scale)
         else:
             ok = _paths_agree(closed, recon, _term_from_rationals(n, *walk.term(n)), basis)

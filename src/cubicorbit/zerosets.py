@@ -58,6 +58,8 @@ def _scan(p: SystemParams, init: InitialPair, limit: Optional[int], lam=None,
     while u != 0 and v != 0:
         if n == limit:
             return none_found
+        # A (u, v) written out, not Mat2.apply: this is census's inner loop,
+        # where the extra call per step showed as a slower census round
         u1, v1 = p.a * u + p.b * v, p.c * u + p.d * v
         if lam is not None and _settled(u, u1, *lam) and _settled(v, v1, *lam):
             return none_found

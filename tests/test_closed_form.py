@@ -935,15 +935,21 @@ class TestVerifyLastStep:
         (cubic_coeff_solve, ([], F(2), -1)),
         (iterate_direct, (params(2, 1, 1, 2), init(1, 2), -1)),
         (verify, (params(2, 1, 1, 2), init(1, 2), -1)),
+        # the index is checked before the parameters and the horizon
+        (solve, (params(1, 1, 0, 0), init(1, 2), -1)),
+        (verify, (params(1, 1, 0, 0), init(1, 2), -1)),
+        (solve, (params(2, 1, 1, 2), init(1, 2), -1, -1)),
+        (verify, (params(2, 1, 1, 2), init(1, 2), -1, 1000, -1)),
     ],
     ids=[
         "solve-distinct", "solve-repeated", "solve-repeated-n-2", "solve-member",
         "solve_distinct", "solve_repeated", "solve_rank_deficient", "solve_antitrace",
         "reconstruct_general", "cubic_coeff_solve", "iterate_direct", "verify",
+        "solve-degenerate", "verify-degenerate", "solve-negative-horizon", "verify-negative-horizon",
     ],
 )
 def test_negative_index_rejected(fn, args):
-    with pytest.raises(ValueError, match="n must be nonnegative"):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
         fn(*args)
 
 

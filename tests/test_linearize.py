@@ -121,6 +121,51 @@ class TestRatio:
             checked += 1
 
 
+def _random_system(rng, kind):
+    """Small-entry parameters of one kind, with eigenvalues for the
+    distinct kinds."""
+    tag = {"repeated": CaseTag.REPEATED, "trace-zero": CaseTag.ANTITRACE_DISTINCT}.get(kind, CaseTag.DISTINCT)
+    while True:
+        p = random_params(rng, tag)
+        if kind == "distinct-rational" and not eigenvalues(p).is_rational:
+            continue
+        if kind == "distinct-irrational" and eigenvalues(p).is_rational:
+            continue
+        return p
+
+
+def _rational(value):
+    return value.to_rational() if isinstance(value, QuadScalar) else value
+
+
+class TestOrbitConstants:
+    """The constants themselves, not only the ratio they give: scaling all
+    four by the same factor leaves v_n / u_n unchanged."""
+
+    @pytest.mark.parametrize("kind", ["repeated", "distinct-rational", "distinct-irrational", "trace-zero"])
+    def test_absolute_orbit(self, kind):
+        rng = random.Random(f"orbit-constants-{kind}")
+        for _ in range(30):
+            p, i = _random_system(rng, kind), random_init(rng)
+            states = linear_orbit_seq(p, i, 8)
+            if kind == "repeated":
+                h = p.trace / 2
+                rc = repeated_ratio_constants(p, i)
+                orbit = [(h ** (n - 1) * (rc.c1 + rc.c2 * n), h ** (n - 1) * (rc.c3 + rc.c4 * n)) for n in range(9)]
+            else:
+                eig = eigenvalues(p)
+                lam1, lam2 = eig.lam1, eig.lam2
+                P, Q, R, S = distinct_orbit_coefficients(p, i)
+                orbit = [
+                    (
+                        _rational((P * lam1**n - Q * lam2**n) / (lam1 - lam2)),
+                        _rational((R * lam1**n - S * lam2**n) / (lam1 - lam2)),
+                    )
+                    for n in range(9)
+                ]
+            assert orbit == [(st.u, st.v) for st in states]
+
+
 class TestAntitraceRatios:
     def test_example(self):
         assert antitrace_ratios(params(1, 1, 1, -1), init(1, 2)) == (F(2), F(-1, 3))
