@@ -9,16 +9,23 @@ A^n is computed without iteration in each case:
 
 The spectral path works formally in the quadratic extension and certifies
 that every sqrt(D) component cancels before converting back to rationals.
+
+The case and the eigenvalues' rationality are read off the integer matrix
+M = L*A, L the lcm of the coefficients' denominators: det(M), disc(M) and
+tr(M) are L^2 det(A), L^2 D and L tr(A) with L > 0, so each zero test
+carries over, and D is a rational square exactly when the integer disc(M)
+is a perfect square.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CaseMismatch
-from .exact import ONE, ZERO, QuadScalar, rational_sqrt
+from .exact import ONE, ZERO, QuadScalar
 
 
 class CaseTag(Enum):
@@ -97,13 +104,29 @@ class Eigenpair(NamedTuple):
         return isinstance(self.lam1, Fraction)
 
 
+def integer_matrix(p: SystemParams) -> tuple[int, int, int, int, int]:
+    """L, the lcm of the coefficients' denominators, and the four integer
+    entries of M = L*A."""
+    a, b, c, d = p
+    L = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+    return (
+        L,
+        a.numerator * (L // a.denominator),
+        b.numerator * (L // b.denominator),
+        c.numerator * (L // c.denominator),
+        d.numerator * (L // d.denominator),
+    )
+
+
 def classify(p: SystemParams) -> CaseTag:
-    # Precedence: singular determinant, then discriminant, then trace.
-    if p.det == 0:
+    # Precedence: singular determinant, then discriminant, then trace, each
+    # tested on M = L*A.
+    _, m11, m12, m21, m22 = integer_matrix(p)
+    if m11 * m22 == m12 * m21:
         return CaseTag.RANK_DEFICIENT
-    if p.discriminant == 0:
+    if (m11 - m22) ** 2 + 4 * m12 * m21 == 0:
         return CaseTag.REPEATED
-    if p.trace == 0:
+    if m11 + m22 == 0:
         return CaseTag.ANTITRACE_DISTINCT
     return CaseTag.DISTINCT
 
@@ -116,11 +139,14 @@ def require_case(p: SystemParams, *tags: CaseTag) -> None:
 
 
 def eigenvalues(p: SystemParams) -> Eigenpair:
-    D = p.discriminant
-    root = rational_sqrt(D)
-    half_trace = p.trace / 2
-    if root is not None:
-        return Eigenpair(D, half_trace + root / 2, half_trace - root / 2)
+    L, m11, m12, m21, m22 = integer_matrix(p)
+    trace, disc = m11 + m22, (m11 - m22) ** 2 + 4 * m12 * m21
+    D = Fraction(disc, L * L)
+    if disc >= 0:
+        root = math.isqrt(disc)
+        if root * root == disc:
+            return Eigenpair(D, Fraction(trace + root, 2 * L), Fraction(trace - root, 2 * L))
+    half_trace = Fraction(trace, 2 * L)
     lam1 = QuadScalar(half_trace, Fraction(1, 2), D)
     lam2 = QuadScalar(half_trace, Fraction(-1, 2), D)
     return Eigenpair(D, lam1, lam2)

@@ -53,7 +53,7 @@ from .exact import (
     three_pow,
 )
 from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq
-from .matrix import CaseTag, Mat2, SystemParams, classify, require_case
+from .matrix import CaseTag, Mat2, SystemParams, classify, integer_matrix, require_case
 from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
 
 
@@ -198,9 +198,7 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
     Raises TrivialSolutionEncountered at the first k <= n with u_k = 0
     or v_k = 0.
     """
-    L = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator, p.d.denominator)
-    # the entries of M = L*A
-    al, be, ga, de = (t.numerator * (L // t.denominator) for t in (p.a, p.b, p.c, p.d))
+    L, al, be, ga, de = integer_matrix(p)
     det = al * de - be * ga
     small = L * be * be if be else L * al
     # the symmetric square of M: (U^2, U V, V^2) -> (W^2, W Z, Z^2)
@@ -225,9 +223,10 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
             A, B, C = aa * A + ab * B + ac * C, ba * A + bb * B + bc * C, ca * A + cb * B + cc * C
         else:
             num, den = al * V, L * U
-        # gcd(1, x) and x // 1 still take a pass over a long x, so the
-        # second gcd and the divisions run only while g != 1
-        g = math.gcd(num, small)
+        # gcd(1, x) and x // 1 still take a pass over a long x, so no gcd
+        # is taken against small = 1, and the second gcd and the divisions
+        # run only while g != 1
+        g = math.gcd(num, small) if small != 1 else 1
         if g != 1:
             g = math.gcd(g, den)
         if g != 1:

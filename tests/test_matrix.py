@@ -1,17 +1,22 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicorbit import matrix
 from cubicorbit.errors import CaseMismatch
-from cubicorbit.exact import QuadScalar
+from cubicorbit.exact import QuadScalar, rational_sqrt
 from cubicorbit.matrix import (
     CaseTag,
+    Eigenpair,
     Mat2,
     SystemParams,
     classify,
     eigenvalues,
+    integer_matrix,
     power,
     power_antitrace,
     power_distinct,
@@ -27,6 +32,55 @@ F = Fraction
 
 def params(a, b, c, d):
     return SystemParams(F(a), F(b), F(c), F(d))
+
+
+# Denominators up to 10^6, so the lcm L of a system's denominators is
+# usually > 1.
+RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+NONZERO = RATIONALS.filter(bool)
+
+
+@st.composite
+def integer_form_systems(draw):
+    """Random systems, and systems built to have det = 0, discriminant 0,
+    trace 0 or rational eigenvalues."""
+    a, b, c, d = (draw(RATIONALS) for _ in range(4))
+    kind = draw(st.sampled_from(["random", "det", "discriminant", "trace", "rational"]))
+    if kind == "det":
+        c, d = c * a, c * b
+    elif kind == "discriminant":
+        b = draw(NONZERO)
+        c = -((a - d) ** 2) / (4 * b)
+    elif kind == "trace":
+        d = -a
+    elif kind == "rational":
+        # eigenvalues c and d: trace c + d, determinant c d
+        b = draw(NONZERO)
+        c, d = (a * (c + d - a) - c * d) / b, c + d - a
+    return SystemParams(a, b, c, d)
+
+
+def fraction_classify(p):
+    """The reference case: the precedence over the Fraction det,
+    discriminant and trace of A."""
+    if p.det == 0:
+        return CaseTag.RANK_DEFICIENT
+    if p.discriminant == 0:
+        return CaseTag.REPEATED
+    if p.trace == 0:
+        return CaseTag.ANTITRACE_DISTINCT
+    return CaseTag.DISTINCT
+
+
+def fraction_eigenvalues(p):
+    """The reference eigenvalues, built from rational_sqrt of the Fraction
+    discriminant of A."""
+    D = p.discriminant
+    root = rational_sqrt(D)
+    half_trace = p.trace / 2
+    if root is not None:
+        return Eigenpair(D, half_trace + root / 2, half_trace - root / 2)
+    return Eigenpair(D, QuadScalar(half_trace, F(1, 2), D), QuadScalar(half_trace, F(-1, 2), D))
 
 
 class TestClassify:
@@ -47,15 +101,33 @@ class TestClassify:
         rng = random.Random(7)
         for _ in range(300):
             p = random_params(rng)
-            tag = classify(p)
-            if p.det == 0:
-                assert tag is CaseTag.RANK_DEFICIENT
-            elif p.discriminant == 0:
-                assert tag is CaseTag.REPEATED
-            elif p.trace == 0:
-                assert tag is CaseTag.ANTITRACE_DISTINCT
+            assert classify(p) is fraction_classify(p)
+
+
+class TestIntegerForm:
+    """classify and eigenvalues read integers off M = L*A; they must agree
+    with the Fraction formulas over A."""
+
+    def test_integer_matrix(self):
+        assert integer_matrix(params(F(1, 2), F(-2, 3), 5, F(3, 4))) == (12, 6, -8, 60, 9)
+        assert integer_matrix(params(2, 1, 1, 2)) == (1, 2, 1, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_form_systems())
+    def test_matches_fraction_formulas(self, p):
+        L, *entries = integer_matrix(p)
+        assert L == math.lcm(*(t.denominator for t in p))
+        assert all(type(m) is int for m in entries)
+        assert [F(m, L) for m in entries] == list(p)
+        assert classify(p) is fraction_classify(p)
+        got, want = eigenvalues(p), fraction_eigenvalues(p)
+        assert got.is_rational is want.is_rational
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            if isinstance(w, QuadScalar):
+                assert (g.p, g.q, g.D) == (w.p, w.q, w.D)
             else:
-                assert tag is CaseTag.DISTINCT
+                assert g == w
 
 
 class TestEigenvalues:

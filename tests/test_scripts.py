@@ -37,3 +37,14 @@ def test_cli_digest_repeats(tmp_path):
     assert len(lines) == 20
     assert all(len(line.split("\t")) == 4 for line in lines)
     assert runs[1].stdout.splitlines() == lines
+
+
+def test_census_digest(tmp_path):
+    proc = run_script("census_digest.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * 7**4 * 2
+    assert all(len(line.split("\t")) == 5 for line in lines)
+    assert lines[0].startswith("-3 -3 -3 -3\t1 2\trank-deficient\tEigenpair(")
+    assert any(line.startswith("-3/2 -3/2 -3/2 -1/2\t2 -3\tdistinct\t") for line in lines)
+    assert any(line.endswith("\tDegenerateParameters") for line in lines)
