@@ -8,9 +8,12 @@ iteration oracle and a general reconstruction through the linearizing
 change of variables.  Terms have Theta(3^n) digits when expanded, so every
 solver returns a FactoredValue.
 
-The repeated and distinct solvers build their towers from one integer walk
-of the ratio r_k = v_k / u_k (``_ratio_walk``).  No step multiplies two
-long numbers: the walk carries the squares and the product of its integer
+All four case solvers read their tower bases a r_k + b r_k^2 and the
+ratio r_n from one integer walk of r_k = v_k / u_k (``_ratio_walk``); only
+the exponents of the closed form are case-specific.  In the rank-deficient
+and trace-zero cases a zero comes by k = 2 or never, so the walk's own
+first-zero check decides the zero set there.  No step multiplies two long
+numbers: the walk carries the squares and the product of its integer
 vector through the symmetric square of the matrix, and each base is
 reduced by gcds against small constants of the matrix.  The cross-checks
 keep the Fraction orbit of ``linear_orbit_seq``, so they stay independent
@@ -52,9 +55,9 @@ from .exact import (
     geometric_exponent,
     three_pow,
 )
-from .linearize import InitialPair, antitrace_ratios, linear_orbit_seq
+from .linearize import InitialPair, linear_orbit_seq
 from .matrix import CaseTag, Mat2, SystemParams, classify, integer_matrix, require_case
-from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z0_member, z2_member, z3_member, zero_set_member
+from .zerosets import DEFAULT_HORIZON, Membership, ZeroSetVerdict, z2_member, zero_set_member
 
 
 class OrbitTerm(NamedTuple):
@@ -157,14 +160,13 @@ def cubic_coeff_solve(coeffs: list[Fraction], x0: Fraction, n: int) -> FactoredV
 
 
 def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    z0_member(p, init).reject_member()
+    require_case(p, CaseTag.RANK_DEFICIENT)
+    # A^k = (a + d)^(k-1) A, so r_k is the constant t for k >= 1 and a zero
+    # comes by k = 2 or never: the walk to 2 decides membership
+    (base, K), t = _ratio_walk(p, init, 2)
     if n == 0:
         return _term_from_rationals(0, init.x0, init.y0)
-    # y_n / x_n is the constant t from the proportional rows; a = 0 forces
-    # c = 0 here, so the d/b fallback is always well defined.
-    t = p.c / p.a if p.a != 0 else p.d / p.b
-    K = p.a * t + p.b * t * t
-    x1 = init.x0 * init.y0 * Mat2.of(p).apply(init.x0, init.y0)[0]
+    x1 = init.x0**3 * base
     x = FactoredValue.build(1, [(x1, three_pow(n - 1)), (K, geometric_exponent(n - 1))])
     return _term(n, x, t)
 
@@ -174,11 +176,13 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
     integer walk of r_k = v_k / u_k.
 
     With L the lcm of the coefficients' denominators, M = L*A is an
-    integer matrix with det' = det(M) != 0.  The walk keeps the primitive
-    integer vector (U, V) proportional to (u_k, v_k): (W, Z) = M (U, V)
-    is proportional to (u_{k+1}, v_{k+1}), and as det' U and det' V are
-    integer combinations of W and Z while gcd(U, V) = 1, gcd(W, Z)
-    divides det' and equals gcd(gcd(W, det'), Z).
+    integer matrix with det' = det(M), which may be 0.  The walk keeps the
+    primitive integer vector (U, V) proportional to (u_k, v_k):
+    (W, Z) = M (U, V) is proportional to (u_{k+1}, v_{k+1}), and as det' U
+    and det' V are integer combinations of W and Z while gcd(U, V) = 1,
+    gcd(W, Z) divides det' and equals gcd(gcd(W, det'), Z).  W = Z = 0
+    only for (U, V) in the kernel of a singular M; then g is taken as 1,
+    and step k + 1 raises TrivialSolutionEncountered(k + 1).
 
     The base is V W / (L U^2).  For b != 0 the walk also carries
     (A, B, C) = (U^2, U V, V^2), so that V W = (L a) B + (L b) C and
@@ -232,7 +236,7 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
         if g != 1:
             num, den = num // g, den // g
         bases.append(coprime_fraction(num, den))
-        g = math.gcd(W, det)
+        g = math.gcd(W, det) or 1
         if g != 1:
             g = math.gcd(g, Z)
         if g != 1:
@@ -256,24 +260,13 @@ def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
 
 
 def solve_antitrace(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
-    z3_member(p, init).reject_member()
-    r_even, r_odd = antitrace_ratios(p, init)
-    base_even = p.a * r_even + p.b * r_even * r_even
-    base_odd = p.a * r_odd + p.b * r_odd * r_odd
+    require_case(p, CaseTag.ANTITRACE_DISTINCT)
+    # A^2 = -det I, so r_k has period 2 and a zero comes by k = 1 or never:
+    # the walk to 2 or 3 decides membership and ends on r_n
+    (base_even, base_odd, *_), ratio_n = _ratio_walk(p, init, 2 + n % 2)
     m, odd = divmod(n, 2)
-    exp_even, exp_odd = antitrace_exponents(m)
-    if odd:
-        x = FactoredValue.build(
-            1,
-            [(init.x0, three_pow(n)), (base_even, 3 * exp_odd + 1), (base_odd, exp_odd)],
-        )
-        ratio_n = r_odd
-    else:
-        x = FactoredValue.build(
-            1,
-            [(init.x0, three_pow(n)), (base_even, 3 * exp_even), (base_odd, exp_even)],
-        )
-        ratio_n = r_even
+    e = antitrace_exponents(m)[odd]
+    x = FactoredValue.build(1, [(init.x0, three_pow(n)), (base_even, 3 * e + odd), (base_odd, e)])
     return _term(n, x, ratio_n)
 
 

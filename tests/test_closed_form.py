@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from cubicorbit.errors import (
@@ -19,13 +19,14 @@ from cubicorbit.errors import (
 from cubicorbit.exact import (
     CoprimeBasis,
     FactoredValue,
+    antitrace_exponents,
     estimated_digits,
     geometric_exponent,
     pow_rational,
     rational_sqrt,
     three_pow,
 )
-from cubicorbit.linearize import InitialPair, linear_orbit_seq
+from cubicorbit.linearize import InitialPair, antitrace_ratios, linear_orbit_seq
 from cubicorbit.matrix import CaseTag, SystemParams, classify
 from cubicorbit.solve import (
     OrbitTerm,
@@ -40,7 +41,7 @@ from cubicorbit.solve import (
     solve_repeated,
     verify,
 )
-from cubicorbit.zerosets import zero_set_member
+from cubicorbit.zerosets import z0_member, z3_member, zero_set_member
 
 from helpers import direct_orbit, first_orbit_zero, random_init, random_params
 
@@ -318,9 +319,41 @@ def distinct_systems(draw):
     return next(p for p in candidates if classify(p) is CaseTag.DISTINCT)
 
 
+@st.composite
+def rank_deficient_cases(draw):
+    """A = w z^T with the seed drawn freely or from the kernel z^perp; half
+    the time z is a multiple of w^perp, so that A is nilpotent."""
+    w1, w2, z1, z2 = draw(entries), draw(entries), draw(entries), draw(entries)
+    if draw(st.booleans()):
+        z1, z2 = -z2 * w2, z2 * w1  # z^T w = 0
+    p = SystemParams(w1 * z1, w1 * z2, w2 * z1, w2 * z2)
+    if draw(st.booleans()):
+        t = draw(entries)
+        return p, InitialPair(-t * z2, t * z1)
+    return p, InitialPair(draw(entries), draw(entries))
+
+
+@st.composite
+def antitrace_cases(draw):
+    """Trace zero and det != 0, with c moved by 0..1 to the first value
+    that is nonsingular, as det = -a^2 - b c.  The seed is drawn freely or
+    from the kernel of a row, so that u_1 = 0 or v_1 = 0."""
+    a, b, c = draw(entries), draw(entries), draw(entries)
+    if a == 0 and b == 0:
+        a = draw(rationals.filter(bool))
+    p = next(q for q in (SystemParams(a, b, c + k, -a) for k in range(2)) if q.det != 0)
+    t = draw(entries)
+    seed = draw(st.sampled_from(["free", "row1", "row2"]))
+    if seed == "row1":
+        return p, InitialPair(-t * p.b, t * p.a)
+    if seed == "row2":
+        return p, InitialPair(-t * p.d, t * p.c)
+    return p, InitialPair(draw(entries), draw(entries))
+
+
 class TestRatioWalk:
-    """The integer walk behind solve_repeated and solve_distinct against
-    the Fraction orbit of linear_orbit_seq."""
+    """The integer walk behind the four case solvers against the Fraction
+    orbit of linear_orbit_seq."""
 
     @staticmethod
     def check(p, i, n):
@@ -349,6 +382,22 @@ class TestRatioWalk:
     def test_distinct(self, p, x0, y0, n):
         assert classify(p) is CaseTag.DISTINCT
         self.check(p, InitialPair(x0, y0), n)
+
+    @given(case=rank_deficient_cases(), n=st.integers(0, 40))
+    @example(case=(params(1, 1, 1, 1), init(1, -1)), n=3)
+    @settings(max_examples=150, deadline=None)
+    def test_rank_deficient(self, case, n):
+        # det(M) = 0: a kernel seed maps to W = Z = 0
+        p, i = case
+        assert classify(p) is CaseTag.RANK_DEFICIENT
+        self.check(p, i, n)
+
+    @given(case=antitrace_cases(), n=st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_antitrace(self, case, n):
+        p, i = case
+        assert classify(p) is CaseTag.ANTITRACE_DISTINCT
+        self.check(p, i, n)
 
     @pytest.mark.parametrize(
         "shape",
@@ -440,6 +489,76 @@ class TestDeepRatioWalk:
         else:
             assert bases[-1].denominator.bit_length() > n  # the long regime
         assert solve_module._ratio_walk(p, i, n) == (bases, ratio_n)
+
+
+def reference_rank_deficient(p, i, n):
+    """solve_rank_deficient from Fraction formulas: z0_member, then the
+    constant ratio t of the proportional rows, K = a t + b t^2 and
+    x_1 = x0 y0 (a x0 + b y0).  a = 0 forces c = 0 here, so t = d / b."""
+    z0_member(p, i).reject_member()
+    if n == 0:
+        return OrbitTerm(0, FactoredValue.from_rational(i.x0), FactoredValue.from_rational(i.y0))
+    t = p.c / p.a if p.a != 0 else p.d / p.b
+    K = p.a * t + p.b * t * t
+    x1 = i.x0 * i.y0 * (p.a * i.x0 + p.b * i.y0)
+    x = FactoredValue.build(1, [(x1, three_pow(n - 1)), (K, geometric_exponent(n - 1))])
+    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(t)))
+
+
+def reference_antitrace(p, i, n):
+    """solve_antitrace from Fraction formulas: z3_member, then the
+    period-2 ratios of antitrace_ratios and their bases a r + b r^2."""
+    z3_member(p, i).reject_member()
+    ratios = antitrace_ratios(p, i)
+    base_even, base_odd = (p.a * r + p.b * r * r for r in ratios)
+    m, odd = divmod(n, 2)
+    exp_even, exp_odd = antitrace_exponents(m)
+    if odd:
+        factors = [(i.x0, three_pow(n)), (base_even, 3 * exp_odd + 1), (base_odd, exp_odd)]
+    else:
+        factors = [(i.x0, three_pow(n)), (base_even, 3 * exp_even), (base_odd, exp_even)]
+    x = FactoredValue.build(1, factors)
+    return OrbitTerm(n, x, x.times(FactoredValue.from_rational(ratios[odd])))
+
+
+class TestWalkSolversMatchFormulas:
+    """solve_rank_deficient and solve_antitrace read their bases from
+    _ratio_walk and decide membership by its first-zero check; the
+    references derive both from Fractions and the zero-set deciders."""
+
+    @pytest.mark.parametrize(
+        "tag,solver,reference",
+        [
+            (CaseTag.RANK_DEFICIENT, solve_rank_deficient, reference_rank_deficient),
+            (CaseTag.ANTITRACE_DISTINCT, solve_antitrace, reference_antitrace),
+        ],
+        ids=["rank-deficient", "antitrace"],
+    )
+    def test_same_factors(self, tag, solver, reference):
+        rng = random.Random(83)
+        for _ in range(40):
+            p, i = sample_outside_zero_set(rng, tag)
+            for n in [*range(7), 2000]:
+                assert solver(p, i, n) == reference(p, i, n)
+
+    @pytest.mark.parametrize(
+        "solver,member,cases",
+        [
+            (solve_rank_deficient, z0_member, rank_deficient_cases()),
+            (solve_antitrace, z3_member, antitrace_cases()),
+        ],
+        ids=["rank-deficient", "antitrace"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_members_raise_the_deciders_witness(self, solver, member, cases, data):
+        p, i = data.draw(cases)
+        verdict = member(p, i)
+        assume(verdict.is_member)
+        for n in range(6):
+            with pytest.raises(TrivialSolutionEncountered) as err:
+                solver(p, i, n)
+            assert err.value.witness == verdict.witness
 
 
 class TestDeepFactoredOutput:
