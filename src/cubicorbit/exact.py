@@ -140,9 +140,20 @@ class QuadScalar:
     def __init__(self, p: Fraction, q: Fraction, D: Fraction):
         if rational_sqrt(D) is not None:
             raise ValueError(f"D = {D} is a rational square; stay in Q instead")
+        self._fill(p, q, D)
+
+    def _fill(self, p: Fraction, q: Fraction, D: Fraction) -> "QuadScalar":
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "D", D)
+        return self
+
+    @classmethod
+    def _unchecked(cls, p: Fraction, q: Fraction, D: Fraction) -> "QuadScalar":
+        """p + q*sqrt(D) without the test of D, for a D already known not to
+        be a rational square: one an operand carries, or one whose integer
+        form failed ``math.isqrt``."""
+        return object.__new__(cls)._fill(p, q, D)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -166,23 +177,23 @@ class QuadScalar:
 
     @classmethod
     def of(cls, value, D: Fraction) -> "QuadScalar":
-        if isinstance(value, QuadScalar):
-            if value.D != D:
-                raise ValueError("mixed radicands")
-            return value
-        return cls(Fraction(value), ZERO, D)
+        return cls(ZERO, ZERO, D)._coerce(value)
 
     def _coerce(self, other) -> "QuadScalar":
-        return QuadScalar.of(other, self.D)
+        if isinstance(other, QuadScalar):
+            if other.D != self.D:
+                raise ValueError("mixed radicands")
+            return other
+        return QuadScalar._unchecked(Fraction(other), ZERO, self.D)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QuadScalar(self.p + o.p, self.q + o.q, self.D)
+        return QuadScalar._unchecked(self.p + o.p, self.q + o.q, self.D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadScalar(-self.p, -self.q, self.D)
+        return QuadScalar._unchecked(-self.p, -self.q, self.D)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -192,7 +203,7 @@ class QuadScalar:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return QuadScalar(
+        return QuadScalar._unchecked(
             self.p * o.p + self.q * o.q * self.D,
             self.p * o.q + self.q * o.p,
             self.D,
@@ -201,7 +212,7 @@ class QuadScalar:
     __rmul__ = __mul__
 
     def conj(self) -> "QuadScalar":
-        return QuadScalar(self.p, -self.q, self.D)
+        return QuadScalar._unchecked(self.p, -self.q, self.D)
 
     def norm(self) -> Fraction:
         return self.p * self.p - self.q * self.q * self.D
@@ -210,7 +221,7 @@ class QuadScalar:
         n = self.norm()
         if n == 0:
             raise DivisionByZero("inverse of zero in Q(sqrt(D))")
-        return QuadScalar(self.p / n, -self.q / n, self.D)
+        return QuadScalar._unchecked(self.p / n, -self.q / n, self.D)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inv()
@@ -218,7 +229,7 @@ class QuadScalar:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.inv() ** (-exp)
-        result = QuadScalar(ONE, ZERO, self.D)
+        result = QuadScalar._unchecked(ONE, ZERO, self.D)
         sq = self
         while exp:
             if exp & 1:

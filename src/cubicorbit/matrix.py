@@ -27,6 +27,8 @@ from typing import NamedTuple
 from .errors import CaseMismatch
 from .exact import ONE, ZERO, QuadScalar
 
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
+
 
 class CaseTag(Enum):
     RANK_DEFICIENT = "rank-deficient"
@@ -146,9 +148,10 @@ def eigenvalues(p: SystemParams) -> Eigenpair:
         root = math.isqrt(disc)
         if root * root == disc:
             return Eigenpair(D, Fraction(trace + root, 2 * L), Fraction(trace - root, 2 * L))
+    # disc(M) is not a perfect square, so D is not a rational square
     half_trace = Fraction(trace, 2 * L)
-    lam1 = QuadScalar(half_trace, Fraction(1, 2), D)
-    lam2 = QuadScalar(half_trace, Fraction(-1, 2), D)
+    lam1 = QuadScalar._unchecked(half_trace, _HALF, D)
+    lam2 = QuadScalar._unchecked(half_trace, _MINUS_HALF, D)
     return Eigenpair(D, lam1, lam2)
 
 

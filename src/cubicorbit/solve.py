@@ -8,16 +8,22 @@ iteration oracle and a general reconstruction through the linearizing
 change of variables.  Terms have Theta(3^n) digits when expanded, so every
 solver returns a FactoredValue.
 
-All four case solvers read their tower bases a r_k + b r_k^2 and the
-ratio r_n from one integer walk of r_k = v_k / u_k (``_ratio_walk``); only
-the exponents of the closed form are case-specific.  In the rank-deficient
-and trace-zero cases a zero comes by k = 2 or never, so the walk's own
-first-zero check decides the zero set there.  No step multiplies two long
-numbers: the walk carries the squares and the product of its integer
-vector through the symmetric square of the matrix, and each base is
-reduced by gcds against small constants of the matrix.  The cross-checks
-keep the Fraction orbit of ``linear_orbit_seq``, so they stay independent
-of that walk.
+The case solvers read their tower bases a r_k + b r_k^2 and the ratio
+r_n from an integer walk of r_k = v_k / u_k; only the exponents of the
+closed form are case-specific.  ``_ratio_walk`` serves the repeated,
+rank-deficient and trace-zero cases: it carries the squares and the
+product of its integer vector through the symmetric square of the matrix,
+and reduces each base by gcds against small constants of the matrix.  In
+the rank-deficient and trace-zero cases a zero comes by k = 2 or never,
+so its own first-zero check decides the zero set there.  The distinct
+case takes ``_eigen_walk``, which walks distinct rational eigenvalues in
+the eigenbasis: each base is a fixed ratio of quadratic forms in e1^k and
+e2^k, whose gcd divides a constant K and is read from residues mod K, so
+no gcd or division touches a long number while that gcd is 1; it hands
+irrational eigenvalues and the seeds with K = 0 to ``_ratio_walk``.  No
+step of either walk multiplies two long numbers.  The cross-checks keep
+the Fraction orbit of ``linear_orbit_seq``, so they stay independent of
+both walks.
 
 ``verify`` checks term n >= 2 through its last two steps of the literal
 recurrence.  With P_k = x_k y_k and (lx_k, ly_k) = A (x_{k-1}, y_{k-1}),
@@ -173,7 +179,9 @@ def solve_rank_deficient(p: SystemParams, init: InitialPair, n: int) -> OrbitTer
 
 def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fraction], Fraction]:
     """The tower bases a r_k + b r_k^2 for k < n and the ratio r_n, from one
-    integer walk of r_k = v_k / u_k.
+    integer walk of r_k = v_k / u_k: the walk of the repeated,
+    rank-deficient and trace-zero solvers, and of ``_eigen_walk``'s
+    fallback.
 
     With L the lcm of the coefficients' denominators, M = L*A is an
     integer matrix with det' = det(M), which may be 0.  The walk keeps the
@@ -247,6 +255,82 @@ def _ratio_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fracti
     return bases, coprime_fraction(V, U)
 
 
+def _eigen_walk(p: SystemParams, init: InitialPair, n: int) -> tuple[list[Fraction], Fraction]:
+    """``_ratio_walk`` walked in the eigenbasis of M, when disc(M) is a
+    nonzero perfect square: the same bases and r_n, the same witness.
+
+    M then has integer eigenvalues m1 != m2, and with h = gcd(m1, m2),
+    m1 = h e1, m2 = h e2, X = e1^k and Y = e2^k the vector
+    (U, V) = (P X - Q Y, R X - S Y) is proportional to (u_k, v_k), where
+    (P, R) = (M - m2) (U_0, V_0) and (Q, S) = (M - m1) (U_0, V_0) with their
+    content divided out.  Then W = P m1 X - Q m2 Y is h U_{k+1}, and the
+    base V W / (L U^2) is a fixed quadratic form in (X^2, X Y, Y^2) over
+    another, each step multiplies those three by e1^2, e1 e2 and e2^2, and
+    den = L U^2 > 0 needs no sign flip.
+
+    With delta = P S - Q R, S U - Q V = delta X and R U - P V = delta Y,
+    so as X and Y are coprime, gcd(U, V) divides delta; m1 U - W and
+    m2 U - W are (m2 - m1) Q Y and (m2 - m1) P X, so for the same reason
+    gcd(U, W) divides (m1 - m2) P Q.  So gcd(num, den) = gcd(V W, L U^2)
+    divides K = L (delta (m1 - m2) P Q)^2, and it is read off num mod K
+    and den mod K, formed from X^2, X Y and Y^2 mod K as small ints: no
+    gcd or division touches a long number unless that gcd is not 1.
+    den = 0 exactly when u_k = 0; num = 0 when v_k = 0, told by V^2 = 0,
+    or else when u_{k+1} = 0.  K = 0 when P, Q or delta is 0, an
+    eigenvector seed or a coordinate that is one pure power (b = 0); those
+    seeds, and every M whose disc(M) is not a nonzero square, take
+    ``_ratio_walk``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    L, al, be, ga, de = integer_matrix(p)
+    disc = (al - de) ** 2 + 4 * be * ga
+    root = math.isqrt(disc) if disc > 0 else 0
+    if root == 0 or root * root != disc:
+        return _ratio_walk(p, init, n)
+    m1, m2 = (al + de + root) // 2, (al + de - root) // 2
+    U, V = init.x0.numerator * init.y0.denominator, init.y0.numerator * init.x0.denominator
+    W, Z = al * U + be * V, ga * U + de * V
+    P, Q, R, S = W - m2 * U, W - m1 * U, Z - m2 * V, Z - m1 * V
+    g = math.gcd(P, Q, R, S) or 1
+    P, Q, R, S = P // g, Q // g, R // g, S // g
+    delta = P * S - Q * R
+    K = L * (delta * (m1 - m2) * P * Q) ** 2
+    if K == 0:
+        return _ratio_walk(p, init, n)
+    h = math.gcd(m1, m2)
+    e1, e2 = m1 // h, m2 // h
+    f2, f1, f0 = e1 * e1, e1 * e2, e2 * e2
+    # num = V W and den = L U^2 as forms in (X^2, X Y, Y^2)
+    n2, n1, n0 = R * P * m1, -(R * Q * m2 + S * P * m1), S * Q * m2
+    d2, d1, d0 = L * P * P, -2 * L * P * Q, L * Q * Q
+    X2 = XY = Y2 = 1
+    x2 = xy = y2 = 1 % K  # X^2, X Y and Y^2 mod K
+    bases = []
+    for k in range(n):
+        den = d2 * X2 + d1 * XY + d0 * Y2
+        if den == 0:
+            raise TrivialSolutionEncountered(k)
+        num = n2 * X2 + n1 * XY + n0 * Y2
+        if num == 0:
+            v_zero = R * R * X2 - 2 * R * S * XY + S * S * Y2 == 0
+            raise TrivialSolutionEncountered(k if v_zero else k + 1)
+        g = math.gcd(n2 * x2 + n1 * xy + n0 * y2, d2 * x2 + d1 * xy + d0 * y2, K)
+        if g != 1:
+            num, den = num // g, den // g
+        bases.append(coprime_fraction(num, den))
+        X2, XY, Y2 = f2 * X2, f1 * XY, f0 * Y2
+        x2, xy, y2 = f2 * x2 % K, f1 * xy % K, f0 * y2 % K
+    X, Y = e1**n, e2**n
+    U, V = P * X - Q * Y, R * X - S * Y
+    if U == 0 or V == 0:
+        raise TrivialSolutionEncountered(n)
+    g = math.gcd(delta, U, V)
+    if U < 0:
+        g = -g
+    return bases, coprime_fraction(V // g, U // g)
+
+
 def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     z2_member(p, init).reject_member()
     bases, ratio_n = _ratio_walk(p, init, n)
@@ -255,7 +339,7 @@ def solve_repeated(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
 
 def solve_distinct(p: SystemParams, init: InitialPair, n: int) -> OrbitTerm:
     require_case(p, CaseTag.DISTINCT)
-    bases, ratio_n = _ratio_walk(p, init, n)
+    bases, ratio_n = _eigen_walk(p, init, n)
     return _term(n, cubic_coeff_solve(bases, init.x0, n), ratio_n)
 
 

@@ -4,9 +4,10 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from cubicorbit.errors import (
@@ -476,8 +477,15 @@ class TestDeepRatioWalk:
             ((-3, 5, 2, -1), (1, -4), CaseTag.DISTINCT),  # discriminant 44
             ((1, -3, 2, 5), (4, -1), CaseTag.DISTINCT),  # discriminant -8
             ((2, 2, -2, 6), (-5, F(2, 7)), CaseTag.REPEATED),  # M = 2 M'
+            ((10, -4, 8, -2), (3, 5), CaseTag.DISTINCT),  # eigenvalues 6 and 2
+            ((-10, 12, -6, 8), (3, 2), CaseTag.DISTINCT),  # eigenvalues -4 and 2
+            ((9, -4, 42, -17), (3, 10), CaseTag.DISTINCT),  # eigenvalues -3 and -5
+            ((F(10, 3), F(-4, 3), F(8, 3), F(-2, 3)), (F(1, 2), 5), CaseTag.DISTINCT),  # M's 6 and 2, L = 3
         ],
-        ids=["rational-entries", "b-zero", "negative-entries", "irrational", "repeated-even"],
+        ids=[
+            "rational-entries", "b-zero", "negative-entries", "irrational", "repeated-even",
+            "eigen-6-2", "eigen-minus4-2", "eigen-both-negative", "eigen-shared-L3",
+        ],
     )
     @pytest.mark.parametrize("n", [250, 400])
     def test_matches_product_formula(self, coeffs, seed, case, n):
@@ -489,6 +497,111 @@ class TestDeepRatioWalk:
         else:
             assert bases[-1].denominator.bit_length() > n  # the long regime
         assert solve_module._ratio_walk(p, i, n) == (bases, ratio_n)
+        if case is CaseTag.DISTINCT:
+            assert solve_module._eigen_walk(p, i, n) == (bases, ratio_n)
+
+
+# rational eigenvalue pairs: shared factors, both negative, and free draws
+eigenvalue_pairs = st.one_of(
+    st.sampled_from([(6, 2), (-4, 2), (2, -4), (-3, -5), (4, 1), (4, 3)]).map(lambda t: (F(t[0]), F(t[1]))),
+    st.tuples(rationals.filter(bool), rationals.filter(bool)),
+).filter(lambda t: t[0] != t[1] and t[0] != -t[1])
+
+
+def eigenvector(p, lam):
+    """A nonzero kernel vector of A - lam for an eigenvalue lam of A != lam I."""
+    if (p.b, lam - p.a) != (0, 0):
+        return p.b, lam - p.a
+    return lam - p.d, p.c
+
+
+def is_eigenvector_seed(p, i):
+    """Whether A (x0, y0) is parallel to (x0, y0), the zero seed included."""
+    return i.x0 * (p.c * i.x0 + p.d * i.y0) == i.y0 * (p.a * i.x0 + p.b * i.y0)
+
+
+@st.composite
+def rational_eigen_cases(draw):
+    """A distinct system with rational eigenvalues l1, l2 and a seed.  A is
+    S diag(l1, l2) S^-1, lower triangular (b = 0) or upper triangular
+    (c = 0).  The seed is drawn freely, as a multiple of an eigenvector
+    (zero included), or as A^-m of a unit vector, so that u_m or v_m is
+    zero; with b = 0, u_k is a pure power of a."""
+    l1, l2 = draw(eigenvalue_pairs)
+    shape = draw(st.sampled_from(["similar", "b-zero", "c-zero"]))
+    if shape == "b-zero":
+        p = SystemParams(l1, F(0), draw(entries), l2)
+    elif shape == "c-zero":
+        p = SystemParams(l1, draw(entries), F(0), l2)
+    else:
+        s11, s12, s21, s22 = (draw(rationals) for _ in range(4))
+        det_s = s11 * s22 - s12 * s21
+        assume(det_s != 0)
+        p = SystemParams(
+            (s11 * l1 * s22 - s12 * l2 * s21) / det_s,
+            (s12 * l2 * s11 - s11 * l1 * s12) / det_s,
+            (s21 * l1 * s22 - s22 * l2 * s21) / det_s,
+            (s22 * l2 * s11 - s21 * l1 * s12) / det_s,
+        )
+    seed = draw(st.sampled_from(["free", "eigenvector", "member"]))
+    if seed == "eigenvector":
+        t = draw(entries)
+        e1, e2 = eigenvector(p, draw(st.sampled_from([l1, l2])))
+        return p, InitialPair(t * e1, t * e2)
+    if seed == "member":
+        u, v = draw(st.sampled_from([(F(0), F(1)), (F(1), F(0))]))
+        for _ in range(draw(st.integers(0, 8))):
+            u, v = (p.d * u - p.b * v) / p.det, (p.a * v - p.c * u) / p.det
+        return p, InitialPair(u, v)
+    return p, InitialPair(draw(entries), draw(entries))
+
+
+class TestEigenWalk:
+    """_eigen_walk against the product formula, and its first zero against
+    the Fraction orbit's.  Eigenvector seeds and b = 0 systems, and only
+    those, take the _ratio_walk fallback."""
+
+    @given(case=rational_eigen_cases(), n=st.integers(0, 60))
+    @example(case=(params(10, -4, 8, -2), init(1, 2)), n=5)  # an eigenvector of 2
+    @example(case=(params(6, 0, 1, 2), init(1, 1)), n=5)  # u_k = 6^k
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_formula(self, case, n):
+        p, i = case
+        assert classify(p) is CaseTag.DISTINCT
+        with mock.patch.object(solve_module, "_ratio_walk", wraps=solve_module._ratio_walk) as fallback:
+            first = first_orbit_zero(p, i, n)
+            if first is not None:
+                with pytest.raises(TrivialSolutionEncountered) as err:
+                    solve_module._eigen_walk(p, i, n)
+                assert err.value.witness == first
+            else:
+                bases, ratio_n = solve_module._eigen_walk(p, i, n)
+                assert (bases, ratio_n) == product_formula_walk(p, i, n)[:2]
+                for r in bases + [ratio_n]:
+                    assert r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+        assert fallback.called == (p.b == 0 or is_eigenvector_seed(p, i))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda p, i: math.lcm(*(t.denominator for t in p)) > 1,
+            lambda p, i: p.b == 0,
+            lambda p, i: p.c == 0,
+            lambda p, i: p.trace < 0 and p.det > 0,
+            lambda p, i: (p.trace, p.det) == (8, 12),
+            lambda p, i: (p.trace, p.det) == (-2, -8),
+            lambda p, i: is_eigenvector_seed(p, i) and (i.x0, i.y0) != (0, 0),
+            lambda p, i: first_orbit_zero(p, i, 60) not in (None, 0),
+        ],
+        ids=["L-above-1", "b-zero", "c-zero", "both-negative", "6-and-2", "minus4-and-2", "eigenvector", "member"],
+    )
+    def test_cases_reach(self, shape):
+        quick = settings(phases=[Phase.generate], database=None)
+        assert shape(*find(rational_eigen_cases(), lambda case: shape(*case), settings=quick))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            solve_module._eigen_walk(params(10, -4, 8, -2), init(3, 5), -1)
 
 
 def reference_rank_deficient(p, i, n):
@@ -563,7 +676,7 @@ class TestWalkSolversMatchFormulas:
 
 class TestDeepFactoredOutput:
     """sha256 of str(x_1000) and str(y_1000), pinned from the Fraction-orbit
-    solvers: the integer walk must give the same factors in the same order."""
+    solvers: the integer walks must give the same factors in the same order."""
 
     @pytest.mark.parametrize(
         "coeffs,seed,case,x_digest,y_digest",
@@ -577,6 +690,9 @@ class TestDeepFactoredOutput:
             ((3, -1, 1, 1), (4, 1), CaseTag.REPEATED,
              "115a466e53b49cd906913816f5c7499a85b24c5d8be35f91ebe8a37504be720e",
              "d69402c1d40c99d0d3d8d0f271cc4c7dedc17304a8a3c39f582ead18edc122c6"),
+            ((10, -4, 8, -2), (3, 5), CaseTag.DISTINCT,  # eigenvalues 6 and 2, pinned from _ratio_walk
+             "0676ef18bdf998c2cead5145426c7ea826ebd4a022c9ecf2a93815f86b352e23",
+             "815249c6d3b8285176d435e07ee38906e4d8cf8d6ff05e4d71505a8e548a0ba8"),
         ],
     )
     def test_digest_at_n_1000(self, coeffs, seed, case, x_digest, y_digest):

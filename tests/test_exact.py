@@ -160,6 +160,21 @@ class TestQuadScalar:
             with pytest.raises(ValueError):
                 QuadScalar(F(1), F(1), D)
 
+    def test_public_constructors_keep_the_square_test(self):
+        # arithmetic results and eigenvalues skip the test of D, which an
+        # operand or a failed integer square test has already passed
+        with pytest.raises(ValueError, match="rational square"):
+            QuadScalar(F(1), F(1), F(4))
+        with pytest.raises(ValueError, match="rational square"):
+            QuadScalar.of(F(3), F(9, 4))
+        x = QuadScalar(F(1), F(1), F(2))
+        with pytest.raises(ValueError, match="mixed radicands"):
+            x + QuadScalar(F(1), F(1), F(3))
+        for y in (x + 1, -x, x * x, x.conj(), x.inv(), x**0, QuadScalar.of(2, F(2))):
+            assert y.__class__ is QuadScalar and y.D == F(2)
+            with pytest.raises(AttributeError):
+                y.p = F(0)
+
     def test_conjugate_norm(self):
         x = QuadScalar(F(1), F(1), F(2))
         assert x * x.conj() == QuadScalar(F(-1), F(0), F(2))

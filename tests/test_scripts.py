@@ -48,3 +48,15 @@ def test_census_digest(tmp_path):
     assert lines[0].startswith("-3 -3 -3 -3\t1 2\trank-deficient\tEigenpair(")
     assert any(line.startswith("-3/2 -3/2 -3/2 -1/2\t2 -3\tdistinct\t") for line in lines)
     assert any(line.endswith("\tDegenerateParameters") for line in lines)
+
+
+def test_deep_digest(tmp_path):
+    proc = run_script("deep_digest.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 20 * 2
+    assert all(len(line.split("\t")) == (4 if "Trivial" in line else 5) for line in lines)
+    # the eigenvalue 6 and 2 system of tests/test_closed_form.py::TestDeepFactoredOutput
+    assert "10 -4 8 -2\t3 5\t1000\t0676ef18bdf998c2cead5145426c7ea826ebd4a022c9ecf2a93815f86b352e23" in proc.stdout
+    assert "10 -4 8 -2\t0 3\t300\tTrivialSolutionEncountered 0" in lines
+    assert sum(line.endswith("TrivialSolutionEncountered 7") for line in lines) == 2
